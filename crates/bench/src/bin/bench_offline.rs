@@ -6,22 +6,23 @@
 //! perf trajectory. Flags: `--scale smoke|mid|paper`, `--threads N`
 //! (default: all cores / `ASTERIA_THREADS`), `--quiet` (no stderr).
 //!
-//! Also measures the observability tax: the same parallel build with the
-//! `asteria-obs` recorder recording vs hard-disabled, interleaved
-//! min-of-N, asserting the overhead stays under 3% and that recording
-//! never perturbs the index bits.
+//! Stage seconds are read back from `asteria-obs` span records. The
+//! observability tax itself is timed with a plain stopwatch: the same
+//! parallel build with the recorder recording vs hard-disabled,
+//! interleaved min-of-N, asserting the overhead stays under 3% and that
+//! recording never perturbs the index bits.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use asteria::compiler::Arch;
 use asteria::core::{AsteriaModel, ModelConfig};
-use asteria::exec::{resolve_threads, StageClock};
+use asteria::exec::resolve_threads;
 use asteria::vulnsearch::{
     build_firmware_corpus, vulnerability_library, FirmwareConfig, IndexBuilder, IndexCache,
     SearchIndex, SearchSession,
 };
-use asteria_bench::Scale;
+use asteria_bench::{timed, Scale};
 
 fn parse_threads() -> usize {
     let args: Vec<String> = std::env::args().collect();
@@ -84,10 +85,11 @@ fn main() {
         firmware.len()
     );
 
-    let clock = StageClock::new();
+    // Every stage below runs as one obs span; the obs-tax rounds reset
+    // the recorder only after all stage seconds have been read.
+    let collector = asteria::obs::install();
 
     // Offline phase: serial reference, then parallel.
-    let t0 = Instant::now();
     let build_at = |threads: usize| {
         IndexBuilder::new(&model)
             .threads(threads)
@@ -95,14 +97,8 @@ fn main() {
             .expect("in-memory build cannot fail")
             .index
     };
-    let serial_index = clock.time("offline-index(serial)", total_functions, 1, || build_at(1));
-    let serial_offline = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let parallel_index = clock.time("offline-index(parallel)", total_functions, threads, || {
-        build_at(threads)
-    });
-    let parallel_offline = t1.elapsed().as_secs_f64();
+    let (serial_index, serial_offline) = timed("offline-index(serial)", || build_at(1));
+    let (parallel_index, parallel_offline) = timed("offline-index(parallel)", || build_at(threads));
 
     let identical = indexes_identical(&serial_index, &parallel_index);
 
@@ -110,31 +106,13 @@ fn main() {
     // then a warm rebuild must serve every binary from it (zero
     // encodings) and still produce a bit-identical index.
     let mut cache = IndexCache::default();
-    let t_cold = Instant::now();
-    let (cold_index, cold_stats) = clock.time(
-        "offline-index(cached,cold)",
-        total_functions,
-        threads,
-        || {
-            IndexBuilder::new(&model)
-                .threads(threads)
-                .build_into(&firmware, &mut cache)
-        },
-    );
-    let index_cold = t_cold.elapsed().as_secs_f64();
-
-    let t_warm = Instant::now();
-    let (warm_index, warm_stats) = clock.time(
-        "offline-index(cached,warm)",
-        total_functions,
-        threads,
-        || {
-            IndexBuilder::new(&model)
-                .threads(threads)
-                .build_into(&firmware, &mut cache)
-        },
-    );
-    let index_warm = t_warm.elapsed().as_secs_f64();
+    let builder = IndexBuilder::new(&model).threads(threads);
+    let ((cold_index, cold_stats), index_cold) = timed("offline-index(cached,cold)", || {
+        builder.build_into(&firmware, &mut cache)
+    });
+    let ((warm_index, warm_stats), index_warm) = timed("offline-index(cached,warm)", || {
+        builder.build_into(&firmware, &mut cache)
+    });
 
     let warm_identical = indexes_identical(&cold_index, &warm_index)
         && indexes_identical(&serial_index, &warm_index);
@@ -155,23 +133,17 @@ fn main() {
                 .expect("library query encodes")
         })
         .collect();
-    let t2 = Instant::now();
-    let serial_hits: Vec<_> = queries.iter().map(|q| serial_session.rank(q)).collect();
-    let serial_online = t2.elapsed().as_secs_f64();
-    clock.record(asteria::exec::StageStats {
-        stage: "online-search(serial)".into(),
-        items: serial_session.index().len() * queries.len(),
-        threads: 1,
-        seconds: serial_online,
+    let (serial_hits, serial_online) = timed("online-search(serial)", || {
+        queries
+            .iter()
+            .map(|q| serial_session.rank(q))
+            .collect::<Vec<_>>()
     });
-    let t3 = Instant::now();
-    let parallel_hits: Vec<_> = queries.iter().map(|q| parallel_session.rank(q)).collect();
-    let parallel_online = t3.elapsed().as_secs_f64();
-    clock.record(asteria::exec::StageStats {
-        stage: "online-search(parallel)".into(),
-        items: parallel_session.index().len() * queries.len(),
-        threads,
-        seconds: parallel_online,
+    let (parallel_hits, parallel_online) = timed("online-search(parallel)", || {
+        queries
+            .iter()
+            .map(|q| parallel_session.rank(q))
+            .collect::<Vec<_>>()
     });
     let rankings_identical = serial_hits.iter().zip(&parallel_hits).all(|(a, b)| {
         a.len() == b.len()
@@ -188,7 +160,6 @@ fn main() {
     // interleaved and each side keeps its minimum, so a transient stall
     // on one round cannot bias either mode.
     const OBS_ROUNDS: usize = 3;
-    let collector = asteria::obs::install();
     // A single smoke-scale build is ~0.1 s — too short to resolve a 3%
     // budget against scheduler jitter. Each timed sample repeats the
     // build until it spans ≥ ~0.25 s, and each mode keeps its best
@@ -224,7 +195,6 @@ fn main() {
     collector.reset();
     let obs_overhead_pct = (obs_enabled_seconds / obs_disabled_seconds.max(1e-12) - 1.0) * 100.0;
 
-    asteria::obs::info!("{}", clock.render().trim_end());
     println!("offline: serial {serial_offline:.3}s, parallel {parallel_offline:.3}s ({offline_speedup:.2}x on {threads} threads)");
     println!("cache:   cold {index_cold:.3}s ({cold_stats}), warm {index_warm:.3}s ({warm_stats}, {warm_speedup:.2}x)");
     println!("online:  serial {serial_online:.3}s, parallel {parallel_online:.3}s ({online_speedup:.2}x)");

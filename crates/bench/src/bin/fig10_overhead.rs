@@ -6,12 +6,17 @@
 //!     hashing for Diaphora (D-H); ACFG extraction (G-EX) and embedding
 //!     (G-EN) for Gemini;
 //! (c) online-phase time per pair for all three systems.
+//!
+//! Every stage runs as one `asteria-obs` span; the printed seconds are
+//! read back from the recorder's span records.
+
+use std::hint::black_box;
 
 use asteria::baselines::{diaphora_similarity, extract_acfg, hash_ast, GeminiConfig, GeminiModel};
 use asteria::core::{binarize, digitalize, AsteriaModel, ModelConfig};
 use asteria::decompiler::decompile_function;
-use asteria::eval::{cdf_points, measure_n, percentile};
-use asteria_bench::Scale;
+use asteria::eval::{cdf_points, percentile};
+use asteria_bench::{timed, Scale};
 
 fn main() {
     let scale = Scale::from_args();
@@ -80,66 +85,65 @@ fn main() {
     println!();
     println!("| stage | seconds/function |");
     println!("|-------|------------------|");
-    let reps = 3u64;
-    let t_decomp = measure_n(reps, || {
-        let mut acc = 0.0;
-        for (bi, sym) in &sample {
-            let f = decompile_function(&corpus.binaries[*bi].binary, *sym).expect("decompile");
-            acc += f.inst_count as f64;
+    asteria::obs::install();
+    let reps = 3;
+    let (_, t_decomp) = timed("A-D", || {
+        for _ in 0..reps {
+            for (bi, sym) in &sample {
+                black_box(
+                    decompile_function(&corpus.binaries[*bi].binary, *sym).expect("decompile"),
+                );
+            }
         }
-        acc
     });
     let decompiled: Vec<_> = sample
         .iter()
         .map(|(bi, sym)| decompile_function(&corpus.binaries[*bi].binary, *sym).expect("ok"))
         .collect();
-    let t_prep = measure_n(reps, || {
-        let mut acc = 0.0;
-        for f in &decompiled {
-            let t = binarize(&digitalize(f));
-            acc += t.size() as f64;
+    let (_, t_prep) = timed("A-P", || {
+        for _ in 0..reps {
+            for f in &decompiled {
+                black_box(binarize(&digitalize(f)));
+            }
         }
-        acc
     });
     let trees: Vec<_> = decompiled
         .iter()
         .map(|f| binarize(&digitalize(f)))
         .collect();
-    let t_encode = measure_n(reps, || {
-        let mut acc = 0.0;
-        for t in &trees {
-            acc += model.encode(t)[0] as f64;
+    let (_, t_encode) = timed("A-E", || {
+        for _ in 0..reps {
+            for t in &trees {
+                black_box(model.encode(t));
+            }
         }
-        acc
     });
-    let t_dhash = measure_n(reps, || {
-        let mut acc = 0.0;
-        for f in &decompiled {
-            acc += hash_ast(&digitalize(f)).bits() as f64;
+    let (_, t_dhash) = timed("D-H", || {
+        for _ in 0..reps {
+            for f in &decompiled {
+                black_box(hash_ast(&digitalize(f)));
+            }
         }
-        acc
     });
-    let t_gex = measure_n(reps, || {
-        let mut acc = 0.0;
-        for (bi, sym) in &sample {
-            let a = extract_acfg(&corpus.binaries[*bi].binary, *sym).expect("acfg");
-            acc += a.len() as f64;
+    let (_, t_gex) = timed("G-EX", || {
+        for _ in 0..reps {
+            for (bi, sym) in &sample {
+                black_box(extract_acfg(&corpus.binaries[*bi].binary, *sym).expect("acfg"));
+            }
         }
-        acc
     });
     let acfgs: Vec<_> = sample
         .iter()
         .map(|(bi, sym)| extract_acfg(&corpus.binaries[*bi].binary, *sym).expect("ok"))
         .collect();
-    let t_gen = measure_n(reps, || {
-        let mut acc = 0.0;
-        for a in &acfgs {
-            acc += gemini.embed(a)[0] as f64;
+    let (_, t_gen) = timed("G-EN", || {
+        for _ in 0..reps {
+            for a in &acfgs {
+                black_box(gemini.embed(a));
+            }
         }
-        acc
     });
-    let per_fn =
-        |t: asteria::eval::Timing| t.total_seconds / (t.iterations as f64 * sample.len() as f64);
+    let per_fn = |seconds: f64| seconds / (reps * sample.len()) as f64;
     println!("| A-D (Asteria decompile) | {:.3e} |", per_fn(t_decomp));
     println!("| A-P (Asteria preprocess) | {:.3e} |", per_fn(t_prep));
     println!("| A-E (Asteria encode) | {:.3e} |", per_fn(t_encode));
@@ -160,34 +164,36 @@ fn main() {
         .map(|f| hash_ast(&digitalize(f)))
         .collect();
     let n = enc.len();
-    let online_reps = 200u64;
-    let t_asteria = measure_n(online_reps, || {
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += model.similarity_from_encodings(&enc[i], &enc[(i + 1) % n]) as f64;
+    let online_reps = 200;
+    let (_, t_asteria) = timed("online-asteria", || {
+        for _ in 0..online_reps {
+            for i in 0..n {
+                black_box(model.similarity_from_encodings(&enc[i], &enc[(i + 1) % n]));
+            }
         }
-        acc
     });
-    let t_gemini = measure_n(online_reps, || {
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += GeminiModel::similarity_from_embeddings(&gemb[i], &gemb[(i + 1) % n]) as f64;
+    let (_, t_gemini) = timed("online-gemini", || {
+        for _ in 0..online_reps {
+            for i in 0..n {
+                black_box(GeminiModel::similarity_from_embeddings(
+                    &gemb[i],
+                    &gemb[(i + 1) % n],
+                ));
+            }
         }
-        acc
     });
-    let diaphora_reps = 3u64;
-    let t_diaphora = measure_n(diaphora_reps, || {
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += diaphora_similarity(&hashes[i], &hashes[(i + 1) % n]);
+    let diaphora_reps = 3;
+    let (_, t_diaphora) = timed("online-diaphora", || {
+        for _ in 0..diaphora_reps {
+            for i in 0..n {
+                black_box(diaphora_similarity(&hashes[i], &hashes[(i + 1) % n]));
+            }
         }
-        acc
     });
-    let per_pair = |t: asteria::eval::Timing| t.total_seconds / (t.iterations as f64 * n as f64);
     let (a, g, d) = (
-        per_pair(t_asteria),
-        per_pair(t_gemini),
-        per_pair(t_diaphora),
+        t_asteria / (online_reps * n) as f64,
+        t_gemini / (online_reps * n) as f64,
+        t_diaphora / (diaphora_reps * n) as f64,
     );
     println!("| Asteria | {a:.3e} |");
     println!("| Gemini | {g:.3e} |");

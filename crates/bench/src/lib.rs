@@ -1,6 +1,5 @@
 //! `asteria-bench` — experiment harnesses regenerating every table and
-//! figure of the paper, plus Criterion micro-benchmarks for the timing
-//! studies.
+//! figure of the paper.
 //!
 //! Each table/figure has a dedicated binary (`table1_nodes`, `fig6_roc`,
 //! …) that prints the same rows/series the paper reports. All binaries
@@ -296,7 +295,7 @@ pub fn asteria_scores(
     let mut needed: Vec<usize> = set.pairs.iter().flat_map(|p| [p.a, p.b]).collect();
     needed.sort_unstable();
     needed.dedup();
-    let encoded = asteria::exec::par_map(&needed, |&i| {
+    let encoded = asteria::exec::par_map_threads(0, &needed, |&i| {
         model.encode(&corpus.instances[i].extracted.tree)
     });
     let mut enc: Vec<Option<Vec<f32>>> = vec![None; corpus.instances.len()];
@@ -347,4 +346,28 @@ pub fn gemini_scores_with(model: &GeminiModel, acfgs: &[Acfg], set: &PairSet) ->
 /// Prints a markdown-ish table row.
 pub fn print_row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
+}
+
+/// Runs `f` inside a root `asteria-obs` span named `stage` and returns its
+/// value with the seconds the recorder holds for that span path, summed
+/// over every finished span there (so give each stage its own name). The
+/// harnesses' one stopwatch: a printed stage time is the same record
+/// `--trace` would show.
+///
+/// # Panics
+///
+/// When the obs recorder is not recording.
+pub fn timed<T>(stage: &str, f: impl FnOnce() -> T) -> (T, f64) {
+    let out = {
+        let _span = asteria::obs::span(stage);
+        f()
+    };
+    let collector = asteria::obs::collector().expect("timed needs the obs recorder on");
+    let us: u64 = collector
+        .finished_spans()
+        .iter()
+        .filter(|s| s.path == stage)
+        .map(|s| s.dur_us)
+        .sum();
+    (out, us as f64 * 1e-6)
 }

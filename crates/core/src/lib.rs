@@ -6,7 +6,7 @@
 //! 1. **AST extraction** — [`pipeline::extract_function`] decompiles a
 //!    binary function (via `asteria-decompiler`) into an AST;
 //! 2. **preprocessing** — [`digitalize`] maps each node to its Table I
-//!    label and [`binarize`] applies the left-child right-sibling
+//!    label and [`binarize()`] applies the left-child right-sibling
 //!    transform;
 //! 3. **encoding** — the Binary [`TreeLstm`] (eq. 1–7) encodes the tree
 //!    bottom-up into a semantic vector;
@@ -15,7 +15,7 @@
 //! 5. **calibration** — [`calibrated_similarity`] (eq. 9–10) multiplies in
 //!    the callee-count feature.
 //!
-//! Training ([`train`]) uses BCELoss + AdaGrad at batch size 1, keeping
+//! Training ([`train()`]) uses BCELoss + AdaGrad at batch size 1, keeping
 //! best-validation weights, as in §IV-A.
 //!
 //! # Examples

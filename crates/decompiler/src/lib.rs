@@ -6,11 +6,11 @@
 //! for the four synthetic ISAs of `asteria-compiler`:
 //!
 //! 1. **Disassembly** — per-architecture decoding (in `asteria-compiler`)
-//!    plus machine-CFG recovery ([`cfg`]).
+//!    plus machine-CFG recovery ([`cfg`](mod@cfg)).
 //! 2. **Lifting** ([`lift`]) — symbolic evaluation turns register shuffles
 //!    back into expression trees; single-use temporaries are inlined and
 //!    dead stores removed.
-//! 3. **Structuring** ([`structure`]) — dominator/postdominator-based
+//! 3. **Structuring** ([`structure`](mod@structure)) — dominator/postdominator-based
 //!    region structuring recovers `if`/`while`/`do-while`, with `goto` as
 //!    the honest fallback.
 //! 4. **Post-processing** ([`postproc`]) — compound-assignment recovery on

@@ -97,7 +97,7 @@ pub fn lift_blocks(insts: &[MInst], cfg: &Cfg, arch: Arch, param_count: u32) -> 
 /// # Errors
 ///
 /// Returns [`DecompileError::BudgetExceeded`] with
-/// [`BudgetKind::AstNodes`](crate::BudgetKind::AstNodes) as soon as the
+/// [`BudgetKind::AstNodes`] as soon as the
 /// total number of materialized AST nodes would exceed `max_ast_nodes`.
 pub fn lift_blocks_limited(
     insts: &[MInst],

@@ -80,7 +80,7 @@ pub fn structure(cfg: &Cfg, lifted: &[LiftedBlock]) -> Vec<DStmt> {
 /// # Errors
 ///
 /// Returns [`DecompileError::BudgetExceeded`] with
-/// [`BudgetKind::StructureIters`](crate::BudgetKind::StructureIters) when
+/// [`BudgetKind::StructureIters`] when
 /// the walk exceeds `max_structure_iters` iterations.
 pub fn structure_limited(
     cfg: &Cfg,

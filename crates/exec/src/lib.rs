@@ -7,10 +7,10 @@
 //! that fans that work out across cores without changing a single bit of
 //! the output:
 //!
-//! - [`par_map`] / [`par_map_threads`] — an order-preserving parallel map
-//!   over `std::thread::scope` + channels. Work is claimed item-by-item
-//!   from a shared atomic cursor, results are keyed by input index, and
-//!   the output `Vec` is assembled in input order, so the result is
+//! - [`par_map_threads`] — an order-preserving parallel map over
+//!   `std::thread::scope` + channels. Work is claimed item-by-item from a
+//!   shared atomic cursor, results are keyed by input index, and the
+//!   output `Vec` is assembled in input order, so the result is
 //!   **bit-identical to the serial map at every thread count** (each item
 //!   is computed by the same code on the same input; only wall-clock
 //!   scheduling varies).
@@ -20,8 +20,10 @@
 //! - [`thread_count`] / [`resolve_threads`] — thread-count policy:
 //!   `ASTERIA_THREADS` (env) overrides, else
 //!   [`std::thread::available_parallelism`].
-//! - [`StageClock`] / [`StageStats`] — per-stage wall-time accounting for
-//!   the offline/online phase breakdowns the benches report.
+//!
+//! Stage timing is not kept here: workers inherit the caller's open
+//! `asteria-obs` span path, so their spans nest under the caller's
+//! stage span and the one recorder accounts for every stage.
 //!
 //! No external dependencies (no rayon): the build environment is
 //! offline, and the pool is ~100 lines of `std`.
@@ -31,8 +33,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
 
 /// Environment variable overriding the worker-thread count (`0` or unset
 /// means "use all available cores").
@@ -62,18 +62,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     } else {
         requested
     }
-}
-
-/// Order-preserving parallel map with the default thread count.
-///
-/// See [`par_map_threads`] for the determinism contract.
-pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    par_map_threads(0, items, f)
 }
 
 /// Order-preserving parallel map over `threads` workers (`0` = auto).
@@ -191,129 +179,6 @@ where
     })
 }
 
-/// Wall-time record for one named pipeline stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageStats {
-    /// Stage name (e.g. `"offline-index"`).
-    pub stage: String,
-    /// Items processed by the stage.
-    pub items: usize,
-    /// Worker threads the stage ran with.
-    pub threads: usize,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-}
-
-impl StageStats {
-    /// Items per wall-clock second (0 for an instantaneous stage).
-    pub fn throughput(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.items as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Collects per-stage wall-time stats across a pipeline run. Shareable
-/// across threads; recording order is the order `time`/`record` calls
-/// complete.
-#[derive(Debug, Default)]
-pub struct StageClock {
-    stages: Mutex<Vec<StageStats>>,
-}
-
-impl StageClock {
-    /// Creates an empty clock.
-    pub fn new() -> StageClock {
-        StageClock::default()
-    }
-
-    /// Times `f` as one stage over `items` items on `threads` workers.
-    ///
-    /// When the obs recorder is enabled, the stage is also recorded as a
-    /// span named after the stage (annotated with `items`), so pipeline
-    /// timings show up in `--trace` / `--metrics-out` without a second
-    /// bespoke reporting path.
-    pub fn time<T>(&self, stage: &str, items: usize, threads: usize, f: impl FnOnce() -> T) -> T {
-        let mut span = asteria_obs::span(stage);
-        span.set_items(items as u64);
-        let t0 = Instant::now();
-        let out = f();
-        drop(span);
-        self.record(StageStats {
-            stage: stage.to_string(),
-            items,
-            threads,
-            seconds: t0.elapsed().as_secs_f64(),
-        });
-        out
-    }
-
-    /// Appends a pre-measured stage.
-    ///
-    /// A worker that panicked mid-stage poisons the mutex; the stats data
-    /// itself is a plain `Vec` that cannot be left inconsistent by a
-    /// panic in *our* critical sections, so recover the inner value
-    /// instead of cascading the panic (the fault-injection harness runs
-    /// with many workers and must degrade one fault to one lost item).
-    pub fn record(&self, stats: StageStats) {
-        self.stages
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(stats);
-    }
-
-    /// All recorded stages, in completion order.
-    pub fn stages(&self) -> Vec<StageStats> {
-        self.stages
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Total wall-clock seconds across all recorded stages.
-    pub fn total_seconds(&self) -> f64 {
-        self.stages
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|s| s.seconds)
-            .sum()
-    }
-
-    /// Wall-clock seconds of the named stage (summed over repeats), or
-    /// `None` if it never ran — lets callers report per-stage timings
-    /// (e.g. warm vs cold index builds) without re-walking the list.
-    pub fn stage_seconds(&self, stage: &str) -> Option<f64> {
-        let stages = self.stages.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut total = 0.0;
-        let mut seen = false;
-        for s in stages.iter().filter(|s| s.stage == stage) {
-            total += s.seconds;
-            seen = true;
-        }
-        seen.then_some(total)
-    }
-
-    /// Renders the stages as aligned text lines
-    /// (`stage  items  threads  seconds  items/s`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for s in self.stages() {
-            out.push_str(&format!(
-                "{:<24} {:>8} items  {:>2} threads  {:>9.3}s  {:>10.1} items/s\n",
-                s.stage,
-                s.items,
-                s.threads,
-                s.seconds,
-                s.throughput()
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,81 +229,6 @@ mod tests {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
         assert!(thread_count() >= 1);
-    }
-
-    #[test]
-    fn stage_clock_records_and_renders() {
-        let clock = StageClock::new();
-        let v = clock.time("encode", 100, 4, || 7);
-        assert_eq!(v, 7);
-        clock.record(StageStats {
-            stage: "search".into(),
-            items: 10,
-            threads: 1,
-            seconds: 2.0,
-        });
-        let stages = clock.stages();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(stages[0].stage, "encode");
-        assert_eq!(stages[1].throughput(), 5.0);
-        let rendered = clock.render();
-        assert!(rendered.contains("encode"), "{rendered}");
-        assert!(rendered.contains("items/s"), "{rendered}");
-    }
-
-    #[test]
-    fn stage_seconds_and_totals() {
-        let clock = StageClock::new();
-        for seconds in [1.0, 2.0] {
-            clock.record(StageStats {
-                stage: "warm".into(),
-                items: 1,
-                threads: 1,
-                seconds,
-            });
-        }
-        clock.record(StageStats {
-            stage: "cold".into(),
-            items: 1,
-            threads: 1,
-            seconds: 4.0,
-        });
-        assert_eq!(clock.stage_seconds("warm"), Some(3.0));
-        assert_eq!(clock.stage_seconds("cold"), Some(4.0));
-        assert_eq!(clock.stage_seconds("absent"), None);
-        assert_eq!(clock.total_seconds(), 7.0);
-    }
-
-    #[test]
-    fn stage_clock_survives_a_poisoned_lock() {
-        // A worker panicking while holding the lock used to poison it and
-        // turn every later `record`/`stages` call into a second panic.
-        let clock = StageClock::new();
-        clock.record(StageStats {
-            stage: "before".into(),
-            items: 1,
-            threads: 1,
-            seconds: 0.5,
-        });
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                let _guard = clock.stages.lock().expect("fresh lock");
-                panic!("worker fault while holding the clock lock");
-            });
-            assert!(handle.join().is_err());
-        });
-        // The lock is now poisoned; all accessors must still work.
-        clock.record(StageStats {
-            stage: "after".into(),
-            items: 2,
-            threads: 1,
-            seconds: 1.5,
-        });
-        let stages = clock.stages();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(clock.total_seconds(), 2.0);
-        assert_eq!(clock.stage_seconds("after"), Some(1.5));
-        assert!(clock.render().contains("after"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! calculation). This crate gives the whole pipeline one observability
 //! spine instead of ad-hoc `eprintln!` lines and bench-only JSON:
 //!
-//! - **Spans** ([`span`]) — hierarchical enter/exit timings with
+//! - **Spans** ([`span`](mod@span)) — hierarchical enter/exit timings with
 //!   monotonic wall-time and parent linkage. Each thread buffers its
 //!   finished spans locally; buffers are merged deterministically (by
 //!   start time, then a global sequence number) when a sink renders.

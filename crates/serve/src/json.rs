@@ -204,7 +204,7 @@ impl std::error::Error for JsonError {}
 /// # Errors
 ///
 /// A [`JsonError`] with the byte offset of the first problem. The parser
-/// is total: no input can panic it or recurse past [`MAX_DEPTH`].
+/// is total: no input can panic it or recurse past its nesting cap.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),

@@ -43,7 +43,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use asteria_compiler::Binary;
-use asteria_core::{AsteriaModel, ExtractionReport};
+use asteria_core::ExtractionReport;
 use asteria_decompiler::DecompileLimits;
 use asteria_nn::Fnv;
 
@@ -173,7 +173,8 @@ impl fmt::Display for CacheStats {
 /// The persistent embedding cache: fingerprint → cached binary.
 ///
 /// An `IndexCache` is scoped to one (model weights, extraction
-/// parameters) pair, recorded as digests; `build_search_index_cached`
+/// parameters) pair, recorded as digests;
+/// [`IndexBuilder::build_into`](crate::IndexBuilder::build_into)
 /// wipes it wholesale when either digest changes, and entry fingerprints
 /// additionally bind the same inputs for defense in depth.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -193,14 +194,6 @@ impl IndexCache {
             params_digest,
             entries: HashMap::new(),
         }
-    }
-
-    /// An empty cache bound to a model and extraction parameters.
-    pub fn for_model(model: &AsteriaModel, beta: usize, limits: &DecompileLimits) -> IndexCache {
-        IndexCache::new(
-            model.weights_digest(),
-            extraction_params_digest(beta, limits),
-        )
     }
 
     /// Number of cached binaries.

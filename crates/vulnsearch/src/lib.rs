@@ -10,8 +10,10 @@
 //!   patched variants, the way fixed firmware versions differ);
 //! - [`firmware`] builds a stripped, ARM-heavy synthetic firmware corpus
 //!   with those functions planted under recorded ground truth;
-//! - [`search`] reproduces the pipeline end to end: offline encoding of
-//!   the corpus, per-CVE ranking, Table IV scoring, and the top-k accuracy
+//! - [`session`] reproduces the pipeline end to end: offline encoding of
+//!   the corpus ([`IndexBuilder`]), then per-CVE ranking and Table IV
+//!   scoring ([`SearchSession`]);
+//! - [`search`] holds the index and result types plus the top-k accuracy
 //!   metric of the Asteria-vs-Gemini end-to-end comparison.
 
 #![forbid(unsafe_code)]
@@ -32,12 +34,6 @@ pub use index_io::{
 pub use library::{vulnerability_library, CveEntry};
 pub use report::{
     render_report, render_report_with_cache, render_report_with_extraction, render_summary_lines,
-};
-#[allow(deprecated)]
-pub use search::{
-    build_search_index, build_search_index_cached, build_search_index_cached_threads,
-    build_search_index_threads, encode_query, run_search, run_search_threads, search,
-    search_threads,
 };
 pub use search::{
     top_k_accuracy, CveSearchResult, IndexedFunction, QueryError, QueryErrorKind, SearchHit,

@@ -109,8 +109,7 @@ pub fn render_report_with_extraction(
 
 /// Renders the full report including the corpus extraction outcome
 /// *and* the embedding-cache accounting of an incremental
-/// [`build_search_index_cached`](crate::build_search_index_cached)
-/// build: how many binaries were served warm from the ASIX cache, how
+/// [`IndexBuilder`](crate::IndexBuilder) build: how many binaries were served warm from the ASIX cache, how
 /// many were encoded cold, and how many stale entries were evicted.
 ///
 /// # Examples

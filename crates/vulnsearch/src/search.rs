@@ -1,26 +1,18 @@
-//! The vulnerability search's data types (paper §V) and the deprecated
-//! free-function API.
+//! The vulnerability search's data types (paper §V) and the top-k
+//! accuracy metric.
 //!
-//! The implementation lives in [`crate::session`]: [`IndexBuilder`] is
-//! the offline phase, [`SearchSession`] the online phase. The free
-//! functions below are thin `#[deprecated]` wrappers kept so external
-//! callers migrate at their own pace; everything in this workspace uses
-//! the session API directly.
+//! The pipeline itself lives in [`crate::session`]: [`IndexBuilder`] is
+//! the offline phase, [`SearchSession`] the online phase.
 //!
 //! [`IndexBuilder`]: crate::session::IndexBuilder
 //! [`SearchSession`]: crate::session::SearchSession
 
 use std::fmt;
 
-use asteria_compiler::{Arch, CompileError};
-use asteria_core::{AsteriaModel, ExtractionReport, FunctionEncoding, DEFAULT_INLINE_BETA};
-use asteria_decompiler::{DecompileError, DecompileLimits};
+use asteria_compiler::CompileError;
+use asteria_core::{ExtractionReport, FunctionEncoding};
+use asteria_decompiler::DecompileError;
 use asteria_lang::ParseError;
-
-use crate::firmware::FirmwareImage;
-use crate::index_io::{CacheStats, IndexCache};
-use crate::library::CveEntry;
-use crate::session;
 
 /// One firmware function in the search index.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,187 +149,14 @@ pub fn top_k_accuracy(results: &[CveSearchResult], k: usize) -> f64 {
     hit as f64 / possible as f64
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated free-function API (delegates to crate::session)
-// ---------------------------------------------------------------------------
-
-/// Encodes every function of every firmware binary (the offline phase)
-/// with the default thread count.
-#[deprecated(
-    since = "0.5.0",
-    note = "use `IndexBuilder::new(model).build(firmware)`"
-)]
-pub fn build_search_index(model: &AsteriaModel, firmware: &[FirmwareImage]) -> SearchIndex {
-    let mut cache = IndexCache::for_model(model, DEFAULT_INLINE_BETA, &DecompileLimits::default());
-    session::IndexBuilder::new(model)
-        .build_into(firmware, &mut cache)
-        .0
-}
-
-/// [`build_search_index`] with an explicit worker count (`0` = auto).
-#[deprecated(
-    since = "0.5.0",
-    note = "use `IndexBuilder::new(model).threads(n).build(firmware)`"
-)]
-pub fn build_search_index_threads(
-    model: &AsteriaModel,
-    firmware: &[FirmwareImage],
-    threads: usize,
-) -> SearchIndex {
-    let mut cache = IndexCache::for_model(model, DEFAULT_INLINE_BETA, &DecompileLimits::default());
-    session::IndexBuilder::new(model)
-        .threads(threads)
-        .build_into(firmware, &mut cache)
-        .0
-}
-
-/// Incremental offline phase against a caller-owned cache, with the
-/// default thread count.
-#[deprecated(
-    since = "0.5.0",
-    note = "use `IndexBuilder::new(model).build_into(firmware, cache)`"
-)]
-pub fn build_search_index_cached(
-    model: &AsteriaModel,
-    firmware: &[FirmwareImage],
-    cache: &mut IndexCache,
-) -> (SearchIndex, CacheStats) {
-    session::IndexBuilder::new(model).build_into(firmware, cache)
-}
-
-/// Incremental offline phase against a caller-owned cache with an
-/// explicit worker count (`0` = auto).
-#[deprecated(
-    since = "0.5.0",
-    note = "use `IndexBuilder::new(model).threads(n).build_into(firmware, cache)`"
-)]
-pub fn build_search_index_cached_threads(
-    model: &AsteriaModel,
-    firmware: &[FirmwareImage],
-    cache: &mut IndexCache,
-    threads: usize,
-) -> (SearchIndex, CacheStats) {
-    session::IndexBuilder::new(model)
-        .threads(threads)
-        .build_into(firmware, cache)
-}
-
-/// Encodes a CVE query function (compiled for `query_arch`, as the
-/// analyst would compile or obtain a reference build of the vulnerable
-/// library).
-///
-/// # Errors
-///
-/// Returns a typed [`QueryError`] when the library source fails to
-/// parse, compile, resolve, or decompile.
-#[deprecated(
-    since = "0.5.0",
-    note = "use `SearchSession::encode_cve` (or `SearchSession::encode` with a `FunctionQuery`)"
-)]
-pub fn encode_query(
-    model: &AsteriaModel,
-    entry: &CveEntry,
-    query_arch: Arch,
-) -> Result<FunctionEncoding, QueryError> {
-    session::encode_query_impl(
-        model,
-        entry.id,
-        &entry.vulnerable_source,
-        entry.function,
-        query_arch,
-        DEFAULT_INLINE_BETA,
-        &DecompileLimits::default(),
-    )
-}
-
-/// Ranks the whole index against one query (the online phase) with the
-/// default thread count.
-#[deprecated(since = "0.5.0", note = "use `SearchSession::rank`")]
-pub fn search(
-    model: &AsteriaModel,
-    index: &SearchIndex,
-    query: &FunctionEncoding,
-) -> Vec<SearchHit> {
-    session::rank_impl(model, index, query, 0)
-}
-
-/// [`search`] with an explicit worker count (`0` = auto).
-#[deprecated(
-    since = "0.5.0",
-    note = "use `SearchSession::rank` on a session configured with `.threads(n)`"
-)]
-pub fn search_threads(
-    model: &AsteriaModel,
-    index: &SearchIndex,
-    query: &FunctionEncoding,
-    threads: usize,
-) -> Vec<SearchHit> {
-    session::rank_impl(model, index, query, threads)
-}
-
-/// Runs the full Table IV experiment with the default thread count.
-///
-/// # Errors
-///
-/// Returns the first (in library order) [`QueryError`] if any CVE's
-/// reference source fails to encode.
-#[deprecated(since = "0.5.0", note = "use `SearchSession::run`")]
-pub fn run_search(
-    model: &AsteriaModel,
-    index: &SearchIndex,
-    firmware: &[FirmwareImage],
-    library: &[CveEntry],
-    threshold: f64,
-    query_arch: Arch,
-) -> Result<Vec<CveSearchResult>, QueryError> {
-    session::run_impl(
-        model,
-        index,
-        firmware,
-        library,
-        threshold,
-        query_arch,
-        0,
-        DEFAULT_INLINE_BETA,
-        &DecompileLimits::default(),
-    )
-}
-
-/// [`run_search`] with an explicit worker count (`0` = auto).
-#[deprecated(
-    since = "0.5.0",
-    note = "use `SearchSession::run` on a session configured with `.threads(n)`"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_search_threads(
-    model: &AsteriaModel,
-    index: &SearchIndex,
-    firmware: &[FirmwareImage],
-    library: &[CveEntry],
-    threshold: f64,
-    query_arch: Arch,
-    threads: usize,
-) -> Result<Vec<CveSearchResult>, QueryError> {
-    session::run_impl(
-        model,
-        index,
-        firmware,
-        library,
-        threshold,
-        query_arch,
-        threads,
-        DEFAULT_INLINE_BETA,
-        &DecompileLimits::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::firmware::{build_firmware_corpus, FirmwareConfig};
+    use crate::firmware::{build_firmware_corpus, FirmwareConfig, FirmwareImage};
     use crate::library::vulnerability_library;
     use crate::session::{IndexBuilder, SearchSession};
-    use asteria_core::ModelConfig;
+    use asteria_compiler::Arch;
+    use asteria_core::{AsteriaModel, ModelConfig};
 
     fn fixture() -> (AsteriaModel, Vec<FirmwareImage>, SearchIndex) {
         let model = AsteriaModel::new(ModelConfig {
@@ -357,55 +176,6 @@ mod tests {
             .expect("in-memory build")
             .index;
         (model, firmware, index)
-    }
-
-    /// The deprecated wrappers must produce bit-identical results to the
-    /// session API they delegate to — old callers lose nothing by
-    /// migrating late.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_session_api() {
-        let (model, firmware, index) = fixture();
-        let lib = vulnerability_library();
-
-        let legacy_index = build_search_index(&model, &firmware);
-        assert_eq!(legacy_index, index, "build wrapper");
-        let legacy_threads = build_search_index_threads(&model, &firmware, 2);
-        assert_eq!(legacy_threads, index, "threaded build wrapper");
-
-        let mut cache =
-            IndexCache::for_model(&model, DEFAULT_INLINE_BETA, &DecompileLimits::default());
-        let (cached_index, stats) = build_search_index_cached(&model, &firmware, &mut cache);
-        assert_eq!(cached_index, index, "cached build wrapper");
-        assert!(stats.misses > 0);
-        let (warm_index, warm) =
-            build_search_index_cached_threads(&model, &firmware, &mut cache, 2);
-        assert_eq!(warm_index, index, "cached threaded build wrapper");
-        assert_eq!(warm.misses, 0);
-
-        let q = encode_query(&model, &lib[0], Arch::X86).expect("query encodes");
-        let legacy_hits = search(&model, &index, &q);
-        let legacy_hits_threads = search_threads(&model, &index, &q, 2);
-        let legacy_results =
-            run_search(&model, &index, &firmware, &lib, 0.5, Arch::X86).expect("queries encode");
-        let legacy_results_threads =
-            run_search_threads(&model, &index, &firmware, &lib, 0.5, Arch::X86, 2)
-                .expect("queries encode");
-
-        let session = SearchSession::new(model, index);
-        let sq = session.encode_cve(&lib[0], Arch::X86).expect("encodes");
-        assert_eq!(q, sq, "encode wrapper");
-        let hits = session.rank(&sq);
-        assert_eq!(legacy_hits, hits, "search wrapper");
-        assert_eq!(legacy_hits_threads, hits, "threaded search wrapper");
-        let results = session
-            .run(&firmware, &lib, 0.5, Arch::X86)
-            .expect("queries encode");
-        assert_eq!(legacy_results, results, "run_search wrapper");
-        assert_eq!(
-            legacy_results_threads, results,
-            "threaded run_search wrapper"
-        );
     }
 
     #[test]

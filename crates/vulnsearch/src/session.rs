@@ -1,12 +1,5 @@
-//! The consolidated vulnsearch API: [`IndexBuilder`] for the offline
-//! phase and [`SearchSession`] for the online phase.
-//!
-//! Earlier iterations grew a matrix of free functions
-//! (`build_search_index{,_threads,_cached,_cached_threads}`,
-//! `search{,_threads}`, `run_search{,_threads}`, `encode_query`) that
-//! every new surface — CLI, benches, and now the long-running
-//! `asteria serve` daemon — had to re-duplicate. This module collapses
-//! that matrix into two types:
+//! The vulnsearch API: [`IndexBuilder`] for the offline phase and
+//! [`SearchSession`] for the online phase.
 //!
 //! - [`IndexBuilder`] — an options-struct builder for the offline phase:
 //!   `.threads(n)`, `.cache(path)` (persistent ASIX warm starts),
@@ -17,12 +10,9 @@
 //!   for ad-hoc function lookups (the serving path),
 //!   [`SearchSession::run`] for the paper's Table IV experiment.
 //!
-//! The old free functions survive as `#[deprecated]` wrappers delegating
-//! here, so external callers migrate at their own pace while the
-//! workspace itself builds with `-D deprecated`.
-//!
-//! All determinism invariants carry over unchanged: a session's answers
-//! are bit-identical at every thread count, and batched queries are
+//! CLI one-shots, benches, and the long-running `asteria serve` daemon
+//! all go through these two types. A session's answers are
+//! bit-identical at every thread count, and batched queries are
 //! bit-identical to one-at-a-time queries.
 
 use std::cmp::Ordering;
@@ -156,8 +146,8 @@ impl<'m> IndexBuilder<'m> {
     /// Only I/O on a configured `.cache(path)` can fail — reading a file
     /// that exists but cannot be read, or writing the updated cache
     /// back. Corrupt cache *contents* degrade to a cold rebuild instead.
-    pub fn build(self, firmware: &[FirmwareImage]) -> Result<IndexBuild, IndexError> {
-        let mut cache = match self.seed_cache {
+    pub fn build(mut self, firmware: &[FirmwareImage]) -> Result<IndexBuild, IndexError> {
+        let mut cache = match self.seed_cache.take() {
             Some(cache) => cache,
             None => match &self.cache_path {
                 Some(path) => match std::fs::read(path) {
@@ -177,14 +167,7 @@ impl<'m> IndexBuilder<'m> {
                 None => IndexCache::default(),
             },
         };
-        let (index, stats) = build_index_impl(
-            self.model,
-            firmware,
-            &mut cache,
-            self.threads,
-            self.inline_beta,
-            &self.limits,
-        );
+        let (index, stats) = self.build_into(firmware, &mut cache);
         if let Some(path) = &self.cache_path {
             let mut buf = Vec::new();
             cache.save(&mut buf)?;
@@ -200,19 +183,117 @@ impl<'m> IndexBuilder<'m> {
     /// Runs the offline phase against a caller-owned in-memory cache,
     /// updating it in place. This path is infallible: no file I/O is
     /// involved (`.cache(path)` is ignored here).
+    ///
+    /// Fingerprint hits replay cached embeddings, misses run the cold
+    /// pipeline over `asteria-exec` workers, and stale entries are
+    /// evicted; the result is bit-identical to a cold build at every
+    /// thread count and hit/miss mix.
     pub fn build_into(
         &self,
         firmware: &[FirmwareImage],
         cache: &mut IndexCache,
     ) -> (SearchIndex, CacheStats) {
-        build_index_impl(
-            self.model,
-            firmware,
-            cache,
-            self.threads,
-            self.inline_beta,
-            &self.limits,
-        )
+        let mut build_span = asteria_obs::span("index-build");
+        let model_digest = self.model.weights_digest();
+        let params_digest = extraction_params_digest(self.inline_beta, &self.limits);
+        let mut stats = CacheStats::default();
+        if cache.model_digest != model_digest || cache.params_digest != params_digest {
+            // Retraining or a budget change invalidates every embedding.
+            stats.evicted += cache.clear();
+            cache.model_digest = model_digest;
+            cache.params_digest = params_digest;
+        }
+
+        // One work unit per binary: the granularity that balances fan-out
+        // (images hold few binaries) against per-unit overhead, and the
+        // granularity the cache is keyed at (callee counts depend on sibling
+        // symbols, so a binary is the smallest self-contained unit).
+        let units: Vec<(usize, usize, &FirmwareImage)> = firmware
+            .iter()
+            .enumerate()
+            .flat_map(|(ii, img)| (0..img.binaries.len()).map(move |bi| (ii, bi, img)))
+            .collect();
+        build_span.set_items(units.len() as u64);
+        let cache_ref = &*cache;
+        let per_binary = asteria_exec::par_map_threads(self.threads, &units, |&(ii, bi, img)| {
+            let mut bin_span = asteria_obs::span("encode-binary");
+            let bin_timer = asteria_obs::timer();
+            let binary = &img.binaries[bi];
+            let fingerprint = fingerprint_binary(binary, params_digest, model_digest);
+            let attach_truth = |name: &str| {
+                img.planted
+                    .iter()
+                    .find(|p| p.binary_index == bi && p.display_name == name)
+                    .map(|p| (p.cve_index, p.vulnerable))
+            };
+            if let Some(cached) = cache_ref.get(fingerprint) {
+                // Warm: replay embeddings and report; skip extraction and
+                // all Tree-LSTM encoding.
+                let functions: Vec<IndexedFunction> = cached
+                    .functions
+                    .iter()
+                    .map(|f| IndexedFunction {
+                        image: ii,
+                        binary: bi,
+                        name: f.name.clone(),
+                        encoding: FunctionEncoding {
+                            name: f.name.clone(),
+                            vector: f.vector.clone(),
+                            callee_count: f.callee_count,
+                        },
+                        ground_truth: attach_truth(&f.name),
+                    })
+                    .collect();
+                bin_span.set_items(functions.len() as u64);
+                bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", "warm")]);
+                return (functions, cached.report, fingerprint, None);
+            }
+            // Cold: the full resilient extraction + encoding pipeline.
+            let extraction = extract_binary_resilient_with(binary, self.inline_beta, &self.limits);
+            let functions: Vec<IndexedFunction> = extraction
+                .successes()
+                .map(|f| IndexedFunction {
+                    image: ii,
+                    binary: bi,
+                    name: f.name.clone(),
+                    encoding: encode_function(self.model, f),
+                    ground_truth: attach_truth(&f.name),
+                })
+                .collect();
+            let entry = CachedBinary {
+                report: extraction.report,
+                functions: functions
+                    .iter()
+                    .map(|f| CachedFunction {
+                        name: f.name.clone(),
+                        callee_count: f.encoding.callee_count,
+                        vector: f.encoding.vector.clone(),
+                    })
+                    .collect(),
+            };
+            bin_span.set_items(functions.len() as u64);
+            bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", "cold")]);
+            (functions, extraction.report, fingerprint, Some(entry))
+        });
+
+        let mut index = SearchIndex::default();
+        let mut live = std::collections::HashSet::with_capacity(per_binary.len());
+        for (functions, report, fingerprint, new_entry) in per_binary {
+            index.extraction.absorb(&report);
+            index.functions.extend(functions);
+            live.insert(fingerprint);
+            match new_entry {
+                Some(entry) => {
+                    stats.misses += 1;
+                    cache.insert(fingerprint, entry);
+                }
+                None => stats.hits += 1,
+            }
+        }
+        // Anything the corpus no longer contains is stale.
+        stats.evicted += cache.retain_fingerprints(|fp| live.contains(&fp));
+        record_build_metrics(&index, &stats);
+        (index, stats)
     }
 }
 
@@ -360,15 +441,20 @@ impl SearchSession {
     /// A typed [`QueryError`] naming the failing stage (parse, compile,
     /// symbol resolution, decompile).
     pub fn encode(&self, query: &FunctionQuery) -> Result<FunctionEncoding, QueryError> {
-        encode_query_impl(
-            &self.model,
-            &query.label,
-            &query.source,
-            &query.function,
-            query.arch,
-            self.inline_beta,
-            &self.limits,
-        )
+        let fail = |kind| QueryError {
+            cve: query.label.clone(),
+            function: query.function.clone(),
+            kind,
+        };
+        let program = parse(&query.source).map_err(|e| fail(QueryErrorKind::Parse(e)))?;
+        let binary =
+            compile_program(&program, query.arch).map_err(|e| fail(QueryErrorKind::Compile(e)))?;
+        let sym = binary
+            .symbol_index(&query.function)
+            .ok_or_else(|| fail(QueryErrorKind::MissingFunction))?;
+        let f = extract_function_with(&binary, sym, self.inline_beta, &self.limits)
+            .map_err(|e| fail(QueryErrorKind::Extract(e)))?;
+        Ok(encode_function(&self.model, &f))
     }
 
     /// Encodes a CVE library entry's vulnerable source (the Table IV
@@ -384,7 +470,26 @@ impl SearchSession {
     /// Ranks the whole index against an already-encoded query. The full
     /// ranking is returned; callers cut it as they like.
     pub fn rank(&self, encoding: &FunctionEncoding) -> Vec<SearchHit> {
-        rank_impl(&self.model, &self.index, encoding, self.threads)
+        self.rank_threads(encoding, self.threads)
+    }
+
+    /// [`SearchSession::rank`] over an explicit worker count. Scoring
+    /// fans out per function in index order; the final (stable) sort
+    /// runs on the merged scores, so the ranking is identical at every
+    /// thread count.
+    fn rank_threads(&self, encoding: &FunctionEncoding, threads: usize) -> Vec<SearchHit> {
+        let timer = asteria_obs::timer();
+        let scores = asteria_exec::par_map_chunked(threads, 0, &self.index.functions, |f| {
+            function_similarity(&self.model, encoding, &f.encoding)
+        });
+        timer.observe_seconds("asteria_search_seconds", &[]);
+        let mut hits: Vec<SearchHit> = scores
+            .into_iter()
+            .enumerate()
+            .map(|(function, score)| SearchHit { function, score })
+            .collect();
+        hits.sort_by(|a, b| rank_order(a.score, b.score));
+        hits
     }
 
     /// Answers one query: encode, rank, truncate to `top_k`.
@@ -393,8 +498,13 @@ impl SearchSession {
     ///
     /// A typed [`QueryError`] when the query source fails to encode.
     pub fn query(&self, query: &FunctionQuery) -> Result<QueryOutcome, QueryError> {
+        self.answer(query, self.threads)
+    }
+
+    /// Encode, rank over `threads` workers, truncate to `top_k`.
+    fn answer(&self, query: &FunctionQuery, threads: usize) -> Result<QueryOutcome, QueryError> {
         let encoding = self.encode(query)?;
-        let mut hits = self.rank(&encoding);
+        let mut hits = self.rank_threads(&encoding, threads);
         let total_ranked = hits.len();
         if query.top_k > 0 {
             hits.truncate(query.top_k);
@@ -439,23 +549,7 @@ impl SearchSession {
         // parallel axis (scoring is bit-identical at every thread count,
         // so this choice cannot change any answer).
         let answers: Vec<Result<QueryOutcome, QueryError>> =
-            asteria_exec::par_map_threads(self.threads, &unique, |q| {
-                let encoding = encode_query_impl(
-                    &self.model,
-                    &q.label,
-                    &q.source,
-                    &q.function,
-                    q.arch,
-                    self.inline_beta,
-                    &self.limits,
-                )?;
-                let mut hits = rank_impl(&self.model, &self.index, &encoding, 1);
-                let total_ranked = hits.len();
-                if q.top_k > 0 {
-                    hits.truncate(q.top_k);
-                }
-                Ok(QueryOutcome { hits, total_ranked })
-            });
+            asteria_exec::par_map_threads(self.threads, &unique, |q| self.answer(q, 1));
         slot_of
             .into_iter()
             .enumerate()
@@ -487,138 +581,67 @@ impl SearchSession {
         threshold: f64,
         query_arch: Arch,
     ) -> Result<Vec<CveSearchResult>, QueryError> {
-        run_impl(
-            &self.model,
-            &self.index,
-            firmware,
-            library,
-            threshold,
-            query_arch,
-            self.threads,
-            self.inline_beta,
-            &self.limits,
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared implementations (also backing the deprecated free functions)
-// ---------------------------------------------------------------------------
-
-/// The incremental offline phase. See [`IndexBuilder`] for semantics:
-/// fingerprint hits replay cached embeddings, misses run the cold
-/// pipeline over `asteria-exec` workers, stale entries are evicted, and
-/// the result is bit-identical to a cold build at every thread count
-/// and hit/miss mix.
-pub(crate) fn build_index_impl(
-    model: &AsteriaModel,
-    firmware: &[FirmwareImage],
-    cache: &mut IndexCache,
-    threads: usize,
-    inline_beta: usize,
-    limits: &DecompileLimits,
-) -> (SearchIndex, CacheStats) {
-    let mut build_span = asteria_obs::span("index-build");
-    let model_digest = model.weights_digest();
-    let params_digest = extraction_params_digest(inline_beta, limits);
-    let mut stats = CacheStats::default();
-    if cache.model_digest != model_digest || cache.params_digest != params_digest {
-        // Retraining or a budget change invalidates every embedding.
-        stats.evicted += cache.clear();
-        cache.model_digest = model_digest;
-        cache.params_digest = params_digest;
-    }
-
-    // One work unit per binary: the granularity that balances fan-out
-    // (images hold few binaries) against per-unit overhead, and the
-    // granularity the cache is keyed at (callee counts depend on sibling
-    // symbols, so a binary is the smallest self-contained unit).
-    let units: Vec<(usize, usize, &FirmwareImage)> = firmware
-        .iter()
-        .enumerate()
-        .flat_map(|(ii, img)| (0..img.binaries.len()).map(move |bi| (ii, bi, img)))
-        .collect();
-    build_span.set_items(units.len() as u64);
-    let cache_ref = &*cache;
-    let per_binary = asteria_exec::par_map_threads(threads, &units, |&(ii, bi, img)| {
-        let mut bin_span = asteria_obs::span("encode-binary");
-        let bin_timer = asteria_obs::timer();
-        let binary = &img.binaries[bi];
-        let fingerprint = fingerprint_binary(binary, params_digest, model_digest);
-        let attach_truth = |name: &str| {
-            img.planted
+        let mut search_span = asteria_obs::span("online-search");
+        search_span.set_items(library.len() as u64);
+        // Fan the CVE set out for query encoding, then surface the first
+        // failure in deterministic library order.
+        let queries = asteria_exec::par_map_threads(self.threads, library, |entry| {
+            self.encode_cve(entry, query_arch)
+        });
+        let mut results = Vec::with_capacity(library.len());
+        for (cve_index, (entry, query)) in library.iter().zip(queries).enumerate() {
+            let query = query?;
+            let hits = self.rank(&query);
+            let mut candidates = 0;
+            let mut confirmed = 0;
+            let mut affected: Vec<String> = Vec::new();
+            for h in &hits {
+                // A NaN score compares as incomparable (never ≥ threshold),
+                // so it also stops the candidate scan.
+                let at_or_above = matches!(
+                    h.score.partial_cmp(&threshold),
+                    Some(Ordering::Greater | Ordering::Equal)
+                );
+                if !at_or_above {
+                    break;
+                }
+                candidates += 1;
+                let f = &self.index.functions[h.function];
+                if f.ground_truth == Some((cve_index, true)) {
+                    confirmed += 1;
+                    let img = &firmware[f.image];
+                    let label = format!("{} {}", img.vendor, img.model);
+                    if !affected.contains(&label) {
+                        affected.push(label);
+                    }
+                }
+            }
+            let top_hits: Vec<bool> = hits
                 .iter()
-                .find(|p| p.binary_index == bi && p.display_name == name)
-                .map(|p| (p.cve_index, p.vulnerable))
-        };
-        if let Some(cached) = cache_ref.get(fingerprint) {
-            // Warm: replay embeddings and report; skip extraction and
-            // all Tree-LSTM encoding.
-            let functions: Vec<IndexedFunction> = cached
+                .take(10)
+                .map(|h| self.index.functions[h.function].ground_truth == Some((cve_index, true)))
+                .collect();
+            let top10_hits = top_hits.iter().filter(|h| **h).count();
+            let total_vulnerable = self
+                .index
                 .functions
                 .iter()
-                .map(|f| IndexedFunction {
-                    image: ii,
-                    binary: bi,
-                    name: f.name.clone(),
-                    encoding: FunctionEncoding {
-                        name: f.name.clone(),
-                        vector: f.vector.clone(),
-                        callee_count: f.callee_count,
-                    },
-                    ground_truth: attach_truth(&f.name),
-                })
-                .collect();
-            bin_span.set_items(functions.len() as u64);
-            bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", "warm")]);
-            return (functions, cached.report, fingerprint, None);
+                .filter(|f| f.ground_truth == Some((cve_index, true)))
+                .count();
+            results.push(CveSearchResult {
+                cve: entry.id.to_string(),
+                software: entry.software.to_string(),
+                function: entry.function.to_string(),
+                candidates,
+                confirmed,
+                total_vulnerable,
+                affected_models: affected,
+                top_hits,
+                top10_hits,
+            });
         }
-        // Cold: the full resilient extraction + encoding pipeline.
-        let extraction = extract_binary_resilient_with(binary, inline_beta, limits);
-        let functions: Vec<IndexedFunction> = extraction
-            .successes()
-            .map(|f| IndexedFunction {
-                image: ii,
-                binary: bi,
-                name: f.name.clone(),
-                encoding: encode_function(model, f),
-                ground_truth: attach_truth(&f.name),
-            })
-            .collect();
-        let entry = CachedBinary {
-            report: extraction.report,
-            functions: functions
-                .iter()
-                .map(|f| CachedFunction {
-                    name: f.name.clone(),
-                    callee_count: f.encoding.callee_count,
-                    vector: f.encoding.vector.clone(),
-                })
-                .collect(),
-        };
-        bin_span.set_items(functions.len() as u64);
-        bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", "cold")]);
-        (functions, extraction.report, fingerprint, Some(entry))
-    });
-
-    let mut index = SearchIndex::default();
-    let mut live = std::collections::HashSet::with_capacity(per_binary.len());
-    for (functions, report, fingerprint, new_entry) in per_binary {
-        index.extraction.absorb(&report);
-        index.functions.extend(functions);
-        live.insert(fingerprint);
-        match new_entry {
-            Some(entry) => {
-                stats.misses += 1;
-                cache.insert(fingerprint, entry);
-            }
-            None => stats.hits += 1,
-        }
+        Ok(results)
     }
-    // Anything the corpus no longer contains is stale.
-    stats.evicted += cache.retain_fingerprints(|fp| live.contains(&fp));
-    record_build_metrics(&index, &stats);
-    (index, stats)
 }
 
 /// Publishes the offline build's obs counters. Everything here is
@@ -661,32 +684,6 @@ fn record_build_metrics(index: &SearchIndex, stats: &CacheStats) {
     }
 }
 
-/// Encodes one query function: parse → compile for `arch` → resolve →
-/// extract → Tree-LSTM encode, every stage surfacing a typed error.
-pub(crate) fn encode_query_impl(
-    model: &AsteriaModel,
-    label: &str,
-    source: &str,
-    function: &str,
-    arch: Arch,
-    inline_beta: usize,
-    limits: &DecompileLimits,
-) -> Result<FunctionEncoding, QueryError> {
-    let fail = |kind| QueryError {
-        cve: label.to_string(),
-        function: function.to_string(),
-        kind,
-    };
-    let program = parse(source).map_err(|e| fail(QueryErrorKind::Parse(e)))?;
-    let binary = compile_program(&program, arch).map_err(|e| fail(QueryErrorKind::Compile(e)))?;
-    let sym = binary
-        .symbol_index(function)
-        .ok_or_else(|| fail(QueryErrorKind::MissingFunction))?;
-    let f = extract_function_with(&binary, sym, inline_beta, limits)
-        .map_err(|e| fail(QueryErrorKind::Extract(e)))?;
-    Ok(encode_function(model, &f))
-}
-
 /// Descending-score ordering that is total: NaN ranks **last** (a
 /// degenerate encoding must sink to the bottom of the ranking, not panic
 /// the sort or float to the top as `total_cmp`'s `NaN > ∞` would).
@@ -697,114 +694,6 @@ fn rank_order(a: f64, b: f64) -> Ordering {
         (true, false) => Ordering::Greater,
         (false, true) => Ordering::Less,
     }
-}
-
-/// Ranks the whole index against one query. Scoring fans out per
-/// function in index order; the final (stable) sort runs on the merged
-/// scores, so the ranking is identical at every thread count.
-pub(crate) fn rank_impl(
-    model: &AsteriaModel,
-    index: &SearchIndex,
-    query: &FunctionEncoding,
-    threads: usize,
-) -> Vec<SearchHit> {
-    let timer = asteria_obs::timer();
-    let scores = asteria_exec::par_map_chunked(threads, 0, &index.functions, |f| {
-        function_similarity(model, query, &f.encoding)
-    });
-    timer.observe_seconds("asteria_search_seconds", &[]);
-    let mut hits: Vec<SearchHit> = scores
-        .into_iter()
-        .enumerate()
-        .map(|(function, score)| SearchHit { function, score })
-        .collect();
-    hits.sort_by(|a, b| rank_order(a.score, b.score));
-    hits
-}
-
-/// The Table IV experiment over explicit components. The CVE queries
-/// encode in parallel, then each per-CVE ranking scores the index in
-/// parallel; error selection (first failing CVE in library order) and
-/// all results are independent of the thread count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_impl(
-    model: &AsteriaModel,
-    index: &SearchIndex,
-    firmware: &[FirmwareImage],
-    library: &[CveEntry],
-    threshold: f64,
-    query_arch: Arch,
-    threads: usize,
-    inline_beta: usize,
-    limits: &DecompileLimits,
-) -> Result<Vec<CveSearchResult>, QueryError> {
-    let mut search_span = asteria_obs::span("online-search");
-    search_span.set_items(library.len() as u64);
-    // Fan the CVE set out for query encoding, then surface the first
-    // failure in deterministic library order.
-    let queries = asteria_exec::par_map_threads(threads, library, |entry| {
-        encode_query_impl(
-            model,
-            entry.id,
-            &entry.vulnerable_source,
-            entry.function,
-            query_arch,
-            inline_beta,
-            limits,
-        )
-    });
-    let mut results = Vec::with_capacity(library.len());
-    for (cve_index, (entry, query)) in library.iter().zip(queries).enumerate() {
-        let query = query?;
-        let hits = rank_impl(model, index, &query, threads);
-        let mut candidates = 0;
-        let mut confirmed = 0;
-        let mut affected: Vec<String> = Vec::new();
-        for h in &hits {
-            // A NaN score compares as incomparable (never ≥ threshold),
-            // so it also stops the candidate scan.
-            let at_or_above = matches!(
-                h.score.partial_cmp(&threshold),
-                Some(Ordering::Greater | Ordering::Equal)
-            );
-            if !at_or_above {
-                break;
-            }
-            candidates += 1;
-            let f = &index.functions[h.function];
-            if f.ground_truth == Some((cve_index, true)) {
-                confirmed += 1;
-                let img = &firmware[f.image];
-                let label = format!("{} {}", img.vendor, img.model);
-                if !affected.contains(&label) {
-                    affected.push(label);
-                }
-            }
-        }
-        let top_hits: Vec<bool> = hits
-            .iter()
-            .take(10)
-            .map(|h| index.functions[h.function].ground_truth == Some((cve_index, true)))
-            .collect();
-        let top10_hits = top_hits.iter().filter(|h| **h).count();
-        let total_vulnerable = index
-            .functions
-            .iter()
-            .filter(|f| f.ground_truth == Some((cve_index, true)))
-            .count();
-        results.push(CveSearchResult {
-            cve: entry.id.to_string(),
-            software: entry.software.to_string(),
-            function: entry.function.to_string(),
-            candidates,
-            confirmed,
-            total_vulnerable,
-            affected_models: affected,
-            top_hits,
-            top10_hits,
-        });
-    }
-    Ok(results)
 }
 
 #[cfg(test)]
@@ -1036,8 +925,7 @@ mod tests {
     #[test]
     fn warm_cached_build_is_bit_identical_and_all_hits() {
         let (model, firmware, cold_index) = fixture();
-        let mut cache =
-            IndexCache::for_model(&model, DEFAULT_INLINE_BETA, &DecompileLimits::default());
+        let mut cache = IndexCache::default();
         let builder = IndexBuilder::new(&model);
         let (first, cold_stats) = builder.build_into(&firmware, &mut cache);
         let units: usize = firmware.iter().map(|i| i.binaries.len()).sum();
@@ -1055,8 +943,7 @@ mod tests {
     #[test]
     fn changing_one_binary_re_encodes_only_that_binary() {
         let (model, mut firmware, _) = fixture();
-        let mut cache =
-            IndexCache::for_model(&model, DEFAULT_INLINE_BETA, &DecompileLimits::default());
+        let mut cache = IndexCache::default();
         let builder = IndexBuilder::new(&model);
         builder.build_into(&firmware, &mut cache);
         let units: usize = firmware.iter().map(|i| i.binaries.len()).sum();
@@ -1078,8 +965,7 @@ mod tests {
     #[test]
     fn changing_model_weights_invalidates_the_whole_cache() {
         let (model, firmware, _) = fixture();
-        let mut cache =
-            IndexCache::for_model(&model, DEFAULT_INLINE_BETA, &DecompileLimits::default());
+        let mut cache = IndexCache::default();
         IndexBuilder::new(&model).build_into(&firmware, &mut cache);
         let entries = cache.len();
         assert!(entries > 0);
@@ -1104,8 +990,7 @@ mod tests {
     #[test]
     fn shrinking_corpus_evicts_dropped_binaries() {
         let (model, mut firmware, _) = fixture();
-        let mut cache =
-            IndexCache::for_model(&model, DEFAULT_INLINE_BETA, &DecompileLimits::default());
+        let mut cache = IndexCache::default();
         let builder = IndexBuilder::new(&model);
         builder.build_into(&firmware, &mut cache);
         let dropped = firmware.pop().expect("fixture has images");

@@ -53,6 +53,10 @@ impl Recording {
 
 impl Drop for Recording {
     fn drop(&mut self) {
+        // Flush and discard this test thread's buffered spans now: left
+        // buffered, they would spill into the next test's recording
+        // window when this thread exits.
+        asteria::obs::install().reset();
         asteria::obs::set_enabled(false);
     }
 }
