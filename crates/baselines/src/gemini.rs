@@ -2,11 +2,13 @@
 //! embedding network over ACFGs, trained as a Siamese network with cosine
 //! similarity — reimplemented on `asteria-nn`.
 
+use std::sync::OnceLock;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use asteria_nn::{Adam, Graph, NodeId, Optimizer, ParamId, ParamStore, Tensor};
+use asteria_nn::{Adam, ColMajor, Graph, NodeId, Optimizer, ParamId, ParamStore, Tensor};
 
 use crate::acfg::{Acfg, ACFG_FEATURES};
 
@@ -43,6 +45,9 @@ pub struct GeminiModel {
     p2: ParamId,
     w2: ParamId,
     optimizer: Adam,
+    /// Column-major copies of `[w1, p1, p2, w2]` for [`GeminiModel::embed`]:
+    /// built on the first embed, dropped by every weight update.
+    inference: OnceLock<[ColMajor; 4]>,
 }
 
 impl std::fmt::Debug for GeminiModel {
@@ -74,6 +79,7 @@ impl GeminiModel {
             p2,
             w2,
             optimizer,
+            inference: OnceLock::new(),
         }
     }
 
@@ -126,10 +132,62 @@ impl GeminiModel {
     }
 
     /// Embeds an ACFG into a vector (the offline phase).
+    ///
+    /// Evaluates the training tape's forward pass without a tape, over
+    /// cached column-major weight copies and one set of scratch buffers.
+    /// Every sum keeps the tape's order, so the result is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an ACFG without blocks (extraction never yields one).
     pub fn embed(&self, acfg: &Acfg) -> Vec<f32> {
-        let mut g = Graph::new();
-        let e = self.embed_on(&mut g, acfg);
-        g.value(e).as_slice().to_vec()
+        assert!(!acfg.is_empty(), "cannot embed an empty ACFG");
+        let p = self.config.embed_dim;
+        let n = acfg.len();
+        let [w1, p1, p2, w2] = self.inference.get_or_init(|| {
+            [self.w1, self.p1, self.p2, self.w2].map(|id| ColMajor::stack(&[self.store.value(id)]))
+        });
+        // `Graph::sum`: the first term, then each later one added in order.
+        let sum_into = |mu: &[f32], terms: &[usize], out: &mut [f32]| match terms.split_first() {
+            None => out.fill(0.0),
+            Some((&first, rest)) => {
+                out.copy_from_slice(&mu[first * p..][..p]);
+                for &u in rest {
+                    for (o, &m) in out.iter_mut().zip(&mu[u * p..][..p]) {
+                        *o += m;
+                    }
+                }
+            }
+        };
+        let relu = |v: &mut [f32]| v.iter_mut().for_each(|x| *x = x.max(0.0));
+
+        let mut wx = vec![0.0f32; n * p];
+        for (f, out) in acfg.features.iter().zip(wx.chunks_exact_mut(p)) {
+            w1.matvec_into(&f.map(|v| v as f32), out);
+        }
+        let neighbors = acfg.neighbors();
+        let mut mu = vec![0.0f32; n * p];
+        let mut next = vec![0.0f32; n * p];
+        let (mut agg, mut l1, mut l2) = (vec![0.0; p], vec![0.0; p], vec![0.0; p]);
+        for _ in 0..self.config.iterations {
+            for (v, out) in next.chunks_exact_mut(p).enumerate() {
+                sum_into(&mu, &neighbors[v], &mut agg);
+                // Two-layer relu MLP σ(·), as in the Gemini paper.
+                p1.matvec_into(&agg, &mut l1);
+                relu(&mut l1);
+                p2.matvec_into(&l1, &mut l2);
+                relu(&mut l2);
+                for ((o, &x), &y) in out.iter_mut().zip(&wx[v * p..][..p]).zip(&l2) {
+                    *o = (x + y).tanh();
+                }
+            }
+            std::mem::swap(&mut mu, &mut next);
+        }
+        let all: Vec<usize> = (0..n).collect();
+        sum_into(&mu, &all, &mut agg);
+        let mut out = vec![0.0; p];
+        w2.matvec_into(&agg, &mut out);
+        out
     }
 
     /// Cosine similarity of two ACFGs (full forward pass).
@@ -153,6 +211,7 @@ impl GeminiModel {
 
     /// One Siamese training step toward cosine ±1; returns the loss.
     pub fn train_pair(&mut self, a: &Acfg, b: &Acfg, homologous: bool) -> f32 {
+        self.inference.take();
         self.store.zero_grads();
         let mut g = Graph::new();
         let ea = self.embed_on(&mut g, a);
@@ -206,6 +265,7 @@ pub fn train_gemini(
         }
     }
     if let Some(w) = best_weights {
+        model.inference.take();
         model.store.load(w.as_slice()).expect("snapshot matches");
     }
     losses
@@ -252,6 +312,35 @@ mod tests {
         let e = m.embed(&a);
         assert_eq!(e.len(), 8);
         assert!(e.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn tape_free_embedding_matches_the_tape_bit_for_bit() {
+        for m in [tiny(), GeminiModel::new(GeminiConfig::default())] {
+            for (blocks, seed) in [(1, 0), (2, 1), (5, 2), (9, 3), (30, 4)] {
+                let a = synthetic_acfg(blocks, seed);
+                let mut g = Graph::new();
+                let e = m.embed_on(&mut g, &a);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&m.embed(&a)),
+                    bits(g.value(e).as_slice()),
+                    "{m:?}, {blocks} blocks"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cached_weights_follow_training() {
+        let mut m = tiny();
+        let (a, b) = (synthetic_acfg(6, 5), synthetic_acfg(9, 6));
+        let before = m.embed(&a);
+        m.train_pair(&a, &b, false);
+        let mut g = Graph::new();
+        let e = m.embed_on(&mut g, &a);
+        assert_eq!(m.embed(&a), g.value(e).as_slice());
+        assert_ne!(m.embed(&a), before, "a train step must move the embedding");
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! Stage seconds are read back from `asteria-obs` span records. The
 //! observability tax itself is timed with a plain stopwatch: the same
-//! parallel build with the recorder recording vs hard-disabled,
-//! interleaved min-of-N, asserting the overhead stays under 3% and that
-//! recording never perturbs the index bits.
+//! parallel build with the recorder recording vs hard-disabled, as the
+//! median ratio of many adjacent single-build pairs in ABBA order,
+//! asserting the overhead stays under 3% and that recording never
+//! perturbs the index bits.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -156,51 +157,58 @@ fn main() {
     let online_speedup = serial_online / parallel_online.max(1e-12);
 
     // Observability tax on the offline encode stage: the same parallel
-    // build with the recorder recording vs hard-disabled. Rounds are
-    // interleaved and each side keeps its minimum, so a transient stall
-    // on one round cannot bias either mode.
-    const OBS_ROUNDS: usize = 3;
-    // A single smoke-scale build is ~0.1 s — too short to resolve a 3%
-    // budget against scheduler jitter. Each timed sample repeats the
-    // build until it spans ≥ ~0.25 s, and each mode keeps its best
-    // sample across interleaved rounds.
-    let reps = ((0.25 / parallel_offline.max(1e-9)).ceil() as usize).clamp(1, 64);
-    let mut obs_enabled_seconds = f64::INFINITY;
-    let mut obs_disabled_seconds = f64::INFINITY;
-    for _ in 0..OBS_ROUNDS {
-        asteria::obs::set_enabled(true);
-        collector.reset();
-        let t_on = Instant::now();
-        let mut traced_index = None;
-        for _ in 0..reps {
-            traced_index = Some(build_at(threads));
+    // build with the recorder recording vs hard-disabled. A smoke-scale
+    // build lasts only tens of milliseconds, and on a shared host a single
+    // build's time swings by ±20%, so a few long samples per mode cannot
+    // resolve a 3% budget. Instead single builds alternate between the
+    // modes in ABBA order for a fixed time budget; each adjacent pair
+    // gives one recording/disabled ratio, which cancels slow drift in the
+    // host's speed, and the median ratio discards stalls.
+    const OBS_BUDGET_SECONDS: f64 = 20.0;
+    let obs_pairs =
+        ((OBS_BUDGET_SECONDS / (2.0 * parallel_offline.max(1e-9))).ceil() as usize).clamp(16, 4000);
+    let mut enabled_samples = Vec::with_capacity(obs_pairs);
+    let mut disabled_samples = Vec::with_capacity(obs_pairs);
+    for pair in 0..obs_pairs {
+        let mut indexes = Vec::with_capacity(2);
+        for recording in [pair % 2 == 0, pair % 2 == 1] {
+            asteria::obs::set_enabled(recording);
+            collector.reset();
+            let t = Instant::now();
+            indexes.push(build_at(threads));
+            let seconds = t.elapsed().as_secs_f64();
+            if recording {
+                enabled_samples.push(seconds);
+            } else {
+                disabled_samples.push(seconds);
+            }
         }
-        obs_enabled_seconds = obs_enabled_seconds.min(t_on.elapsed().as_secs_f64() / reps as f64);
-        asteria::obs::set_enabled(false);
-        let t_off = Instant::now();
-        let mut plain_index = None;
-        for _ in 0..reps {
-            plain_index = Some(build_at(threads));
-        }
-        obs_disabled_seconds =
-            obs_disabled_seconds.min(t_off.elapsed().as_secs_f64() / reps as f64);
         assert!(
-            indexes_identical(
-                &traced_index.expect("reps ≥ 1"),
-                &plain_index.expect("reps ≥ 1")
-            ),
+            indexes_identical(&indexes[0], &indexes[1]),
             "recording perturbed the index bits"
         );
     }
+    asteria::obs::set_enabled(false);
     collector.reset();
-    let obs_overhead_pct = (obs_enabled_seconds / obs_disabled_seconds.max(1e-12) - 1.0) * 100.0;
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let ratios = enabled_samples
+        .iter()
+        .zip(&disabled_samples)
+        .map(|(on, off)| on / off.max(1e-12))
+        .collect();
+    let obs_overhead_pct = (median(ratios) - 1.0) * 100.0;
+    let obs_enabled_seconds = median(enabled_samples);
+    let obs_disabled_seconds = median(disabled_samples);
 
     println!("offline: serial {serial_offline:.3}s, parallel {parallel_offline:.3}s ({offline_speedup:.2}x on {threads} threads)");
     println!("cache:   cold {index_cold:.3}s ({cold_stats}), warm {index_warm:.3}s ({warm_stats}, {warm_speedup:.2}x)");
     println!("online:  serial {serial_online:.3}s, parallel {parallel_online:.3}s ({online_speedup:.2}x)");
     println!(
         "obs:     recording {obs_enabled_seconds:.3}s, disabled {obs_disabled_seconds:.3}s \
-         ({obs_overhead_pct:+.2}% overhead, min of {OBS_ROUNDS}x{reps})"
+         ({obs_overhead_pct:+.2}% overhead, median of {obs_pairs} ABBA pairs)"
     );
     println!("bit-identical index: {identical}; warm==cold: {warm_identical}; bit-identical rankings: {rankings_identical}");
     assert!(identical, "parallel index diverged from serial");

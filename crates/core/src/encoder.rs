@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use asteria_nn::{Embedding, Graph, NodeId, ParamId, ParamStore, Tensor};
+use asteria_nn::{ColMajor, Embedding, Graph, NodeId, ParamId, ParamStore, Tensor};
 
 use crate::binarize::BinTree;
 
@@ -105,7 +105,11 @@ impl TreeLstm {
         self.emb.dim()
     }
 
-    /// Encodes a binarized AST, returning the root's hidden-state node.
+    /// Encodes a binarized AST on the tape, returning the root's
+    /// hidden-state node — the differentiable form that training and the
+    /// gradient checks use. Inference goes through
+    /// [`TreeLstm::encode_to_vec`], which computes the same bits without a
+    /// tape.
     ///
     /// Evaluation is an explicit post-order loop (batch size is inherently
     /// 1, as the paper notes — the computation shape follows the tree).
@@ -209,20 +213,232 @@ impl TreeLstm {
         states[tree.root() as usize].expect("root encoded").0
     }
 
-    /// Convenience: encodes a tree and returns the raw vector (no tape
-    /// retained) — the paper's offline embedding step.
+    /// Precomputes the inference-only [`TreeLstmKernel`] for the current
+    /// weights in `store`.
     ///
-    /// Only this offline path is instrumented; the graph-mode
-    /// [`TreeLstm::encode`] used inside training loops stays bare so
-    /// per-cell counters cannot slow the hot path down.
-    pub fn encode_to_vec(&self, store: &ParamStore, tree: &BinTree) -> Vec<f32> {
+    /// The kernel is a snapshot: it must be rebuilt whenever the weights
+    /// change. [`crate::AsteriaModel`] caches one per model and drops it
+    /// on every training step and load.
+    pub fn kernel(&self, store: &ParamStore) -> TreeLstmKernel {
+        TreeLstmKernel::new(self, store)
+    }
+
+    /// Encodes a tree and returns the root's hidden state as a plain
+    /// vector — the paper's offline embedding step, and the only
+    /// inference entry point.
+    ///
+    /// Runs on `kernel`, which must come from [`TreeLstm::kernel`] over
+    /// the current weights. No tape is built, and the result is
+    /// bit-identical to the root value of [`TreeLstm::encode`]. Only this
+    /// path is instrumented; the tape used by training stays bare.
+    pub fn encode_to_vec(&self, kernel: &TreeLstmKernel, tree: &BinTree) -> Vec<f32> {
+        debug_assert_eq!(kernel.hidden, self.hidden, "kernel of another encoder");
         let timer = asteria_obs::timer();
-        let mut g = Graph::new();
-        let h = self.encode(&mut g, store, tree);
-        let out = g.value(h).as_slice().to_vec();
+        let out = kernel.encode(tree);
         timer.observe_seconds("asteria_encode_seconds", &[]);
         asteria_obs::counter_add("asteria_treelstm_cells_total", &[], tree.size() as u64);
         out
+    }
+}
+
+/// Gate blocks per node, each `hidden` rows: the two forget gates, the
+/// input and output gates, and the cached state, in that order.
+const GATES: usize = 5;
+
+/// Inference-only form of a [`TreeLstm`]: the function of
+/// [`TreeLstm::encode`], evaluated without a tape and bit for bit equal.
+///
+/// Built once per set of weights by [`TreeLstm::kernel`], it holds
+///
+/// - the ten `U` matrices, stacked per child side into two column-major
+///   `5h × h` blocks, so one matrix–vector product serves all five gates
+///   and vectorizes across output rows;
+/// - a per-label table of the gates' `W·e` terms, since the embedding `e`
+///   depends only on the node label;
+/// - the constant `U·init` terms of an absent child;
+/// - a per-label table of the `(h, c)` state of a node with neither a
+///   left child nor a right sibling.
+///
+/// Every value is computed in the tape's operation order: each dot
+/// product starts from `+0.0` and adds its terms in ascending column
+/// order, and gate and cell sums keep the tape's association. The tables
+/// live outside the [`ParamStore`], so they never enter
+/// [`ParamStore::digest`].
+#[derive(Debug, Clone)]
+pub struct TreeLstmKernel {
+    hidden: usize,
+    vocab: usize,
+    /// `[U_f_ll; U_f_rl; U_i_l; U_o_l; U_u_l]`: the gate terms in the left
+    /// child's hidden state.
+    u_left: ColMajor,
+    /// `[U_f_lr; U_f_rr; U_i_r; U_o_r; U_u_r]`: the gate terms in the
+    /// right child's hidden state.
+    u_right: ColMajor,
+    /// `u_left · init`, the left-side terms of an absent left child.
+    u_left_init: Vec<f32>,
+    /// `u_right · init`, the right-side terms of an absent right child.
+    u_right_init: Vec<f32>,
+    /// `[b_f; b_f; b_i; b_o; b_u]`.
+    bias: Vec<f32>,
+    /// Per label, `[W_f e; W_f e; W_i e; W_o e; W_u e]`.
+    label_we: Vec<f32>,
+    /// Per label, the `[h; c]` state of a node without children.
+    leaf: Vec<f32>,
+    /// Hidden and cell state of an absent child.
+    init: Vec<f32>,
+}
+
+impl TreeLstmKernel {
+    fn new(t: &TreeLstm, store: &ParamStore) -> TreeLstmKernel {
+        let h = t.hidden;
+        let stack = |ids: [ParamId; GATES]| ColMajor::stack(&ids.map(|id| store.value(id)));
+        let u_left = stack([t.u_f_ll, t.u_f_rl, t.u_i_l, t.u_o_l, t.u_u_l]);
+        let u_right = stack([t.u_f_lr, t.u_f_rr, t.u_i_r, t.u_o_r, t.u_u_r]);
+        let init = match t.leaf_init {
+            LeafInit::Zeros => vec![0.0; h],
+            LeafInit::Ones => vec![1.0; h],
+        };
+        let mut u_left_init = vec![0.0; GATES * h];
+        u_left.matvec_into(&init, &mut u_left_init);
+        let mut u_right_init = vec![0.0; GATES * h];
+        u_right.matvec_into(&init, &mut u_right_init);
+        let bias = [t.b_f, t.b_f, t.b_i, t.b_o, t.b_u]
+            .iter()
+            .flat_map(|&id| store.value(id).as_slice().iter().copied())
+            .collect();
+
+        // The table holds the tape's own `W·e` products: only the lookup
+        // is new, not the arithmetic.
+        let vocab = t.emb.vocab();
+        let emb = store.value(t.emb.weight());
+        let mut label_we = Vec::with_capacity(vocab * GATES * h);
+        for label in 0..vocab {
+            let e = emb.row_vector(label);
+            for id in [t.w_f, t.w_f, t.w_i, t.w_o, t.w_u] {
+                label_we.extend_from_slice(store.value(id).matvec(&e).as_slice());
+            }
+        }
+
+        let mut kernel = TreeLstmKernel {
+            hidden: h,
+            vocab,
+            u_left,
+            u_right,
+            u_left_init,
+            u_right_init,
+            bias,
+            label_we,
+            leaf: Vec::new(),
+            init,
+        };
+        let mut leaf = vec![0.0; vocab * 2 * h];
+        let mut gates = vec![0.0; GATES * h];
+        for (label, state) in leaf.chunks_exact_mut(2 * h).enumerate() {
+            let k = &kernel;
+            k.cell(
+                label,
+                (&k.u_left_init, &k.init),
+                (&k.u_right_init, &k.init),
+                &mut gates,
+                state,
+            );
+        }
+        kernel.leaf = leaf;
+        kernel
+    }
+
+    /// Encodes a binarized AST bottom-up and returns the root's hidden
+    /// state, using one scratch buffer for the whole tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node label is outside the embedding vocabulary.
+    fn encode(&self, tree: &BinTree) -> Vec<f32> {
+        let h = self.hidden;
+        let n = tree.size();
+        let mut scratch = vec![0.0f32; n * 2 * h + 3 * GATES * h + 2 * h];
+        let (states, rest) = scratch.split_at_mut(n * 2 * h);
+        let (left_buf, rest) = rest.split_at_mut(GATES * h);
+        let (right_buf, rest) = rest.split_at_mut(GATES * h);
+        let (gates, state) = rest.split_at_mut(GATES * h);
+        for k in tree.postorder() {
+            let label = tree.label(k) as usize;
+            assert!(
+                label < self.vocab,
+                "embedding index {label} out of range {}",
+                self.vocab
+            );
+            let (left, right) = (tree.left(k), tree.right(k));
+            let dst = k as usize * 2 * h..(k as usize + 1) * 2 * h;
+            if left.is_none() && right.is_none() {
+                states[dst].copy_from_slice(&self.leaf[label * 2 * h..(label + 1) * 2 * h]);
+                continue;
+            }
+            let l = self.child(left, states, &self.u_left, &self.u_left_init, left_buf);
+            let r = self.child(right, states, &self.u_right, &self.u_right_init, right_buf);
+            self.cell(label, l, r, gates, state);
+            states[dst].copy_from_slice(state);
+        }
+        let root = tree.root() as usize * 2 * h;
+        states[root..root + h].to_vec()
+    }
+
+    /// What one child side feeds its parent's cell: its `U·h` gate terms
+    /// and its cell state. An absent child contributes the precomputed
+    /// `U·init` terms, never nothing: adding a `+0.0` term can change the
+    /// sign of a zero.
+    fn child<'a>(
+        &'a self,
+        child: Option<u32>,
+        states: &'a [f32],
+        u: &ColMajor,
+        u_init: &'a [f32],
+        buf: &'a mut [f32],
+    ) -> (&'a [f32], &'a [f32]) {
+        let h = self.hidden;
+        match child {
+            Some(c) => {
+                let (h_c, c_c) = states[c as usize * 2 * h..][..2 * h].split_at(h);
+                u.matvec_into(h_c, buf);
+                (buf, c_c)
+            }
+            None => (u_init, &self.init),
+        }
+    }
+
+    /// One Tree-LSTM cell (eq. 1–7): combines the label's `W·e` terms with
+    /// both child sides' `(U·h, c)` and writes `[h; c]` into `state`.
+    fn cell(
+        &self,
+        label: usize,
+        (u_l, c_l): (&[f32], &[f32]),
+        (u_r, c_r): (&[f32], &[f32]),
+        gates: &mut [f32],
+        state: &mut [f32],
+    ) {
+        let h = self.hidden;
+        let we = &self.label_we[label * GATES * h..(label + 1) * GATES * h];
+        for ((((g, &w), &l), &r), &b) in gates.iter_mut().zip(we).zip(u_l).zip(u_r).zip(&self.bias)
+        {
+            *g = ((w + l) + r) + b;
+        }
+        let (sigmoid_gates, cached) = gates.split_at_mut(4 * h);
+        for x in sigmoid_gates {
+            *x = 1.0 / (1.0 + (-*x).exp());
+        }
+        for x in cached {
+            *x = x.tanh();
+        }
+        let (f_l, rest) = gates.split_at(h);
+        let (f_r, rest) = rest.split_at(h);
+        let (i, rest) = rest.split_at(h);
+        let (o, u) = rest.split_at(h);
+        let (h_out, c_out) = state.split_at_mut(h);
+        for j in 0..h {
+            let c = ((i[j] * u[j]) + (c_l[j] * f_l[j])) + (c_r[j] * f_r[j]);
+            c_out[j] = c;
+            h_out[j] = o[j] * c.tanh();
+        }
     }
 }
 
@@ -254,7 +470,7 @@ mod tests {
     #[test]
     fn encoding_has_hidden_dim() {
         let (store, tl) = setup(LeafInit::Zeros);
-        let v = tl.encode_to_vec(&store, &small_tree());
+        let v = tl.encode_to_vec(&tl.kernel(&store), &small_tree());
         assert_eq!(v.len(), 12);
         assert!(v.iter().all(|x| x.is_finite()));
     }
@@ -262,19 +478,19 @@ mod tests {
     #[test]
     fn encoding_is_deterministic() {
         let (store, tl) = setup(LeafInit::Zeros);
-        let a = tl.encode_to_vec(&store, &small_tree());
-        let b = tl.encode_to_vec(&store, &small_tree());
+        let a = tl.encode_to_vec(&tl.kernel(&store), &small_tree());
+        let b = tl.encode_to_vec(&tl.kernel(&store), &small_tree());
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_trees_encode_differently() {
         let (store, tl) = setup(LeafInit::Zeros);
-        let a = tl.encode_to_vec(&store, &small_tree());
+        let a = tl.encode_to_vec(&tl.kernel(&store), &small_tree());
         let mut t2 = AstTree::with_root(NodeType::Block);
         let r = t2.root();
         t2.add(r, NodeType::While);
-        let b = tl.encode_to_vec(&store, &binarize(&t2));
+        let b = tl.encode_to_vec(&tl.kernel(&store), &binarize(&t2));
         assert_ne!(a, b);
     }
 
@@ -283,8 +499,8 @@ mod tests {
         let (store_z, tl_z) = setup(LeafInit::Zeros);
         let (store_o, tl_o) = setup(LeafInit::Ones);
         // Same seed → same weights; only the leaf init differs.
-        let a = tl_z.encode_to_vec(&store_z, &small_tree());
-        let b = tl_o.encode_to_vec(&store_o, &small_tree());
+        let a = tl_z.encode_to_vec(&tl_z.kernel(&store_z), &small_tree());
+        let b = tl_o.encode_to_vec(&tl_o.kernel(&store_o), &small_tree());
         assert_ne!(a, b);
     }
 
@@ -301,8 +517,8 @@ mod tests {
         t2.add(r2, NodeType::Return);
         t2.add(r2, NodeType::If);
         let (store, tl) = setup(LeafInit::Zeros);
-        let a = tl.encode_to_vec(&store, &binarize(&t1));
-        let b = tl.encode_to_vec(&store, &binarize(&t2));
+        let a = tl.encode_to_vec(&tl.kernel(&store), &binarize(&t1));
+        let b = tl.encode_to_vec(&tl.kernel(&store), &binarize(&t2));
         assert_ne!(a, b, "sibling order must affect the encoding");
     }
 

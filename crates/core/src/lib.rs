@@ -49,7 +49,7 @@ pub mod siamese;
 pub mod train;
 
 pub use binarize::{binarize, binarize_truncated, BinTree};
-pub use encoder::{LeafInit, TreeLstm};
+pub use encoder::{LeafInit, TreeLstm, TreeLstmKernel};
 pub use model::{calibrated_similarity, callee_similarity, AsteriaModel, ModelConfig};
 pub use nodes::{digitalize, AstTree, NodeType};
 pub use pipeline::{

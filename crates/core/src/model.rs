@@ -2,14 +2,15 @@
 //! callee-count calibration (paper §III, eq. 9–10).
 
 use std::io::{self, Read, Write};
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use asteria_nn::{AdaGrad, Graph, Optimizer, ParamStore};
+use asteria_nn::{AdaGrad, Graph, Optimizer, ParamStore, Tensor};
 
 use crate::binarize::BinTree;
-use crate::encoder::{LeafInit, TreeLstm};
+use crate::encoder::{LeafInit, TreeLstm, TreeLstmKernel};
 use crate::nodes::NodeType;
 use crate::siamese::{SiameseHead, SiameseKind};
 
@@ -66,6 +67,9 @@ pub struct AsteriaModel {
     tree_lstm: TreeLstm,
     head: SiameseHead,
     optimizer: AdaGrad,
+    /// Inference kernel for the current weights: built on the first
+    /// encode, dropped by every weight update.
+    kernel: OnceLock<TreeLstmKernel>,
 }
 
 impl std::fmt::Debug for AsteriaModel {
@@ -102,6 +106,7 @@ impl AsteriaModel {
             tree_lstm,
             head,
             optimizer,
+            kernel: OnceLock::new(),
         }
     }
 
@@ -116,15 +121,22 @@ impl AsteriaModel {
     }
 
     /// Encodes an AST into its semantic vector (the offline phase).
+    ///
+    /// The first call after construction or a weight update builds the
+    /// inference kernel; concurrent callers share it.
     pub fn encode(&self, tree: &BinTree) -> Vec<f32> {
-        self.tree_lstm.encode_to_vec(&self.store, tree)
+        let kernel = self
+            .kernel
+            .get_or_init(|| self.tree_lstm.kernel(&self.store));
+        self.tree_lstm.encode_to_vec(kernel, tree)
     }
 
-    /// Full-pipeline similarity 𝓜(T₁, T₂) of two ASTs.
+    /// Full-pipeline similarity 𝓜(T₁, T₂) of two ASTs: both encodings,
+    /// then the Siamese head with the same arithmetic as training.
     pub fn similarity(&self, t1: &BinTree, t2: &BinTree) -> f32 {
         let mut g = Graph::new();
-        let h1 = self.tree_lstm.encode(&mut g, &self.store, t1);
-        let h2 = self.tree_lstm.encode(&mut g, &self.store, t2);
+        let h1 = g.input(Tensor::column(&self.encode(t1)));
+        let h2 = g.input(Tensor::column(&self.encode(t2)));
         let out = self.head.forward(&mut g, &self.store, h1, h2);
         self.head.similarity(&g, out)
     }
@@ -139,6 +151,7 @@ impl AsteriaModel {
     /// Both towers share one parameter set (the Siamese property), so the
     /// backward pass accumulates gradients from both trees automatically.
     pub fn train_pair(&mut self, t1: &BinTree, t2: &BinTree, homologous: bool) -> f32 {
+        self.kernel.take();
         self.store.zero_grads();
         let mut g = Graph::new();
         let h1 = self.tree_lstm.encode(&mut g, &self.store, t1);
@@ -168,6 +181,8 @@ impl AsteriaModel {
     ///
     /// Returns `InvalidData` when shapes or names do not match.
     pub fn load<R: Read>(&mut self, r: R) -> io::Result<()> {
+        // A failed load may still have replaced some weights.
+        self.kernel.take();
         self.store.load(r)
     }
 

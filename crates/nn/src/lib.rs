@@ -47,4 +47,4 @@ pub use graph::{Graph, NodeId};
 pub use layers::{Embedding, Linear};
 pub use optim::{AdaGrad, Adam, Optimizer, Sgd};
 pub use params::{Fnv, ParamId, ParamStore};
-pub use tensor::Tensor;
+pub use tensor::{ColMajor, Tensor};

@@ -306,6 +306,82 @@ impl Tensor {
     }
 }
 
+/// A matrix laid out column-major for inference-time matrix–vector
+/// products.
+///
+/// [`ColMajor::matvec_into`] runs its inner loop across output rows, so
+/// it vectorizes, yet each row still starts from `+0.0` and adds its
+/// terms in ascending column order, exactly as [`Tensor::matvec`] does.
+/// The two are therefore bit-identical. Several matrices with the same
+/// column count can be stacked into one, so one pass serves them all.
+///
+/// # Examples
+///
+/// ```
+/// use asteria_nn::{ColMajor, Tensor};
+///
+/// let a = Tensor::from_rows(&[&[1.0, 2.0]]);
+/// let b = Tensor::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
+/// let m = ColMajor::stack(&[&a, &b]);
+/// let mut out = [0.0; 3];
+/// m.matvec_into(&[1.0, 1.0], &mut out);
+/// assert_eq!(out, [3.0, 7.0, 11.0]);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColMajor {
+    rows: usize,
+    data: Vec<f32>,
+}
+
+impl ColMajor {
+    /// Stacks `blocks` vertically, top to bottom, in column-major order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `blocks` is empty or their column counts differ.
+    pub fn stack(blocks: &[&Tensor]) -> ColMajor {
+        let cols = blocks.first().expect("at least one block").cols;
+        assert!(
+            blocks.iter().all(|b| b.cols == cols),
+            "stacked blocks must have equal column counts"
+        );
+        let rows: usize = blocks.iter().map(|b| b.rows).sum();
+        let mut data = Vec::with_capacity(rows * cols);
+        for c in 0..cols {
+            for b in blocks {
+                data.extend((0..b.rows).map(|r| b.data[r * cols + c]));
+            }
+        }
+        ColMajor { rows, data }
+    }
+
+    /// Number of rows (the length of a product).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Writes `M·x` into `out`, bit-identical to [`Tensor::matvec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.rows()` or `x` does not have one
+    /// entry per column.
+    pub fn matvec_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(out.len(), self.rows, "matvec output length mismatch");
+        assert_eq!(
+            x.len() * self.rows,
+            self.data.len(),
+            "matvec dimension mismatch"
+        );
+        out.fill(0.0);
+        for (col, &x_c) in self.data.chunks_exact(self.rows).zip(x) {
+            for (o, &w) in out.iter_mut().zip(col) {
+                *o += w * x_c;
+            }
+        }
+    }
+}
+
 impl Index<(usize, usize)> for Tensor {
     type Output = f32;
 
@@ -367,6 +443,31 @@ mod tests {
         let x = Tensor::column(&[2.0, 3.0, 1.0]);
         let y = w.matvec(&x);
         assert_eq!(y.as_slice(), &[1.0, -1.0]);
+    }
+
+    #[test]
+    fn col_major_matvec_is_bit_identical_to_matvec() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let a = Tensor::uniform(7, 5, 1.0, &mut rng);
+        let mut b = Tensor::uniform(3, 5, 1.0, &mut rng);
+        // Signed zeros and cancellation: the order of every sum matters.
+        b.as_mut_slice()[..5].copy_from_slice(&[-0.0, 0.0, -0.0, 1e8, -1e8]);
+        let m = ColMajor::stack(&[&a, &b]);
+        assert_eq!(m.rows(), 10);
+        for x in [
+            Tensor::uniform(5, 1, 1.0, &mut rng),
+            Tensor::column(&[0.0, -0.0, 0.0, 1.0, 1.0]),
+            Tensor::column(&[-0.0; 5]),
+        ] {
+            let mut out = vec![f32::NAN; 10];
+            m.matvec_into(x.as_slice(), &mut out);
+            let want: Vec<u32> = [a.matvec(&x), b.matvec(&x)]
+                .iter()
+                .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+                .collect();
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -1,17 +1,21 @@
 //! Typed metrics: counters, gauges, and fixed-boundary histograms.
 //!
-//! Every series is keyed by name plus a sorted label set, stored in
-//! `BTreeMap`s so iteration — and therefore every sink rendering — is
-//! deterministic.
+//! Every series is keyed by name plus a sorted label set. Recording finds
+//! its series through a hash index without allocating; iteration is in
+//! key order, so every sink rendering is deterministic.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Default histogram boundaries for wall-time observations, in seconds
-/// (an implicit `+Inf` bucket is always appended). Spanning 10 µs to
-/// 10 s covers everything from one cached similarity to a whole-corpus
-/// stage.
-pub const TIME_BUCKETS_SECONDS: &[f64] = &[1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
+/// (an implicit `+Inf` bucket is always appended): 1-2-5 steps per
+/// decade from 10 µs to 10 s. The span covers everything from one cached
+/// similarity to a whole-corpus stage; the steps keep adjacent bounds
+/// within 2.5× so quantiles tell, say, a 160 µs encode from a 700 µs one.
+pub const TIME_BUCKETS_SECONDS: &[f64] = &[
+    1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.5, 1.0,
+    2.0, 5.0, 10.0,
+];
 
 /// A metric series identity: name plus sorted `(key, value)` labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -49,6 +53,102 @@ impl MetricKey {
             out.push('}');
         }
         out
+    }
+
+    /// True when this is the series `(name, labels)`, labels sorted.
+    fn is(&self, name: &str, labels: &[(&str, &str)]) -> bool {
+        self.name == name
+            && self.labels.len() == labels.len()
+            && self
+                .labels
+                .iter()
+                .zip(labels)
+                .all(|((k, v), (pk, pv))| k == pk && v == pv)
+    }
+}
+
+/// FNV-1a over a series identity; `0xff`, which never occurs in UTF-8,
+/// separates the parts.
+fn series_hash(name: &str, labels: &[(&str, &str)]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    feed(name.as_bytes());
+    for (k, v) in labels {
+        feed(&[0xff]);
+        feed(k.as_bytes());
+        feed(&[0xff]);
+        feed(v.as_bytes());
+    }
+    h
+}
+
+/// The live series of one metric kind.
+///
+/// Recording sits on every hot path, between stages whose working sets
+/// evict the metric store from cache, so a lookup must touch little
+/// memory: it hashes the borrowed `(name, labels)`, binary-searches a
+/// compact hash index and verifies the one candidate key. Only a new
+/// series allocates. Iteration is in key order.
+#[derive(Debug)]
+pub(crate) struct SeriesMap<V> {
+    /// `(hash, slot)` pairs sorted by hash.
+    index: Vec<(u64, usize)>,
+    keys: Vec<MetricKey>,
+    values: Vec<V>,
+}
+
+impl<V> Default for SeriesMap<V> {
+    fn default() -> Self {
+        SeriesMap {
+            index: Vec::new(),
+            keys: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<V> SeriesMap<V> {
+    /// The series `(name, labels)`, created by `init` on first use.
+    fn series(&mut self, name: &str, labels: &[(&str, &str)], init: impl FnOnce() -> V) -> &mut V {
+        if !labels.is_sorted() {
+            let key = MetricKey::new(name, labels);
+            let sorted: Vec<(&str, &str)> = key
+                .labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            return self.series(&key.name, &sorted, init);
+        }
+        let hash = series_hash(name, labels);
+        let start = self.index.partition_point(|&(h, _)| h < hash);
+        let found = self.index[start..]
+            .iter()
+            .take_while(|&&(h, _)| h == hash)
+            .map(|&(_, slot)| slot)
+            .find(|&slot| self.keys[slot].is(name, labels));
+        let slot = found.unwrap_or_else(|| {
+            self.keys.push(MetricKey::new(name, labels));
+            self.values.push(init());
+            self.index.insert(start, (hash, self.keys.len() - 1));
+            self.keys.len() - 1
+        });
+        &mut self.values[slot]
+    }
+
+    /// Every series, in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&MetricKey, &V)> {
+        let mut order: Vec<usize> = (0..self.keys.len()).collect();
+        order.sort_by(|&a, &b| self.keys[a].cmp(&self.keys[b]));
+        order.into_iter().map(|i| (&self.keys[i], &self.values[i]))
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.keys.is_empty()
     }
 }
 
@@ -117,21 +217,18 @@ impl Histogram {
 /// The live metric store behind the collector's lock.
 #[derive(Debug, Default)]
 pub(crate) struct Metrics {
-    pub(crate) counters: BTreeMap<MetricKey, u64>,
-    pub(crate) gauges: BTreeMap<MetricKey, f64>,
-    pub(crate) histograms: BTreeMap<MetricKey, Histogram>,
+    pub(crate) counters: SeriesMap<u64>,
+    pub(crate) gauges: SeriesMap<f64>,
+    pub(crate) histograms: SeriesMap<Histogram>,
 }
 
 impl Metrics {
     pub(crate) fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        *self
-            .counters
-            .entry(MetricKey::new(name, labels))
-            .or_insert(0) += delta;
+        *self.counters.series(name, labels, || 0) += delta;
     }
 
     pub(crate) fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.gauges.insert(MetricKey::new(name, labels), value);
+        *self.gauges.series(name, labels, || 0.0) = value;
     }
 
     pub(crate) fn observe(
@@ -142,8 +239,7 @@ impl Metrics {
         bounds: &[f64],
     ) {
         self.histograms
-            .entry(MetricKey::new(name, labels))
-            .or_insert_with(|| Histogram::new(bounds))
+            .series(name, labels, || Histogram::new(bounds))
             .observe(value);
     }
 
@@ -208,6 +304,24 @@ mod tests {
     }
 
     #[test]
+    fn time_buckets_step_1_2_5_per_decade() {
+        let b = TIME_BUCKETS_SECONDS;
+        assert_eq!((b[0], b[b.len() - 1]), (1e-5, 10.0));
+        assert_eq!(b.len(), 3 * 6 + 1, "three bounds per decade");
+        for (i, w) in b.windows(2).enumerate() {
+            let ratio = w[1] / w[0];
+            let expected = [2.0, 2.5, 2.0][i % 3];
+            assert!((ratio - expected).abs() < 1e-9, "{} → {}", w[0], w[1]);
+        }
+        // A 160 µs and a 705 µs encode land in different buckets.
+        let mut h = Histogram::new(b);
+        h.observe(160e-6);
+        h.observe(705e-6);
+        assert_eq!(h.quantile(0.5), Some(2e-4));
+        assert_eq!(h.quantile(1.0), Some(1e-3));
+    }
+
+    #[test]
     fn boundary_values_land_in_the_le_bucket() {
         // Prometheus buckets are `le` (≤), so an exact boundary counts
         // in its own bucket.
@@ -216,6 +330,29 @@ mod tests {
         h.observe(2.0);
         h.observe(2.0000001);
         assert_eq!(h.counts, vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn series_are_found_by_any_label_order_and_iterate_in_key_order() {
+        let mut m = Metrics::default();
+        for (name, labels) in [
+            ("z", vec![]),
+            ("c", vec![("b", "2"), ("a", "1")]),
+            ("c", vec![("a", "1")]),
+            ("a", vec![("k", "v")]),
+            ("c", vec![("a", "1"), ("b", "2")]),
+            ("a", vec![]),
+        ] {
+            m.counter_add(name, &labels, 1);
+        }
+        let keys: Vec<String> = m.counters.iter().map(|(k, _)| k.render()).collect();
+        assert_eq!(
+            keys,
+            ["a", "a{k=\"v\"}", "c{a=\"1\"}", "c{a=\"1\",b=\"2\"}", "z"]
+        );
+        let counts: Vec<u64> = m.counters.iter().map(|(_, v)| *v).collect();
+        assert_eq!(counts, [1, 1, 1, 2, 1], "both label orders hit one series");
+        assert!(m.gauges.is_empty());
     }
 
     #[test]

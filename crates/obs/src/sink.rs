@@ -322,4 +322,34 @@ mod tests {
         assert_eq!(prom_f64(f64::INFINITY), "+Inf");
         assert_eq!(prom_f64(0.001), "0.001");
     }
+
+    #[test]
+    fn prometheus_renders_every_time_bucket() {
+        let c = crate::Collector::new();
+        for seconds in [160e-6, 705e-6, 30.0] {
+            crate::relock(c.metrics.lock()).observe(
+                "encode_seconds",
+                &[],
+                seconds,
+                crate::TIME_BUCKETS_SECONDS,
+            );
+        }
+        let prom = render_prometheus(&c);
+        let buckets: Vec<&str> = prom
+            .lines()
+            .filter(|l| l.starts_with("encode_seconds_bucket"))
+            .collect();
+        assert_eq!(buckets.len(), crate::TIME_BUCKETS_SECONDS.len() + 1);
+        for line in [
+            "encode_seconds_bucket{le=\"0.0001\"} 0",
+            "encode_seconds_bucket{le=\"0.0002\"} 1",
+            "encode_seconds_bucket{le=\"0.0005\"} 1",
+            "encode_seconds_bucket{le=\"0.001\"} 2",
+            "encode_seconds_bucket{le=\"10\"} 2",
+            "encode_seconds_bucket{le=\"+Inf\"} 3",
+            "encode_seconds_count 3",
+        ] {
+            assert!(prom.contains(line), "missing {line}: {prom}");
+        }
+    }
 }

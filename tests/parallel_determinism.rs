@@ -229,3 +229,52 @@ fn corrupted_corpus_reports_are_identical_in_parallel() {
         assert_index_identical(&serial, &parallel, threads);
     }
 }
+
+/// FNV-1a digest of every encoding bit of an index, in index order.
+fn encoding_digest(index: &SearchIndex) -> u64 {
+    let mut h = asteria::nn::Fnv::new();
+    h.write_usize(index.functions.len());
+    for f in &index.functions {
+        h.write_usize(f.encoding.vector.len());
+        for v in &f.encoding.vector {
+            h.write(&v.to_bits().to_le_bytes());
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn default_index_matches_the_pinned_golden_digests() {
+    // The constants were computed with the autograd-tape encoder, before
+    // the inference kernel replaced it, and must never be regenerated:
+    // they prove the kernel reproduces every encoding bit, and that an
+    // `.asix` cache written by the old encoder is byte-identical to one
+    // written now, so it stays warm.
+    const GOLDEN_WEIGHTS_DIGEST: u64 = 0x7a33_e74f_696a_06bf;
+    const GOLDEN_ENCODING_DIGEST: u64 = 0x8a4d_c78d_9f07_fd9b;
+    const GOLDEN_ASIX_DIGEST: u64 = 0x0a3f_5cc8_5eb2_d05e;
+    let model = AsteriaModel::new(ModelConfig::default());
+    assert_eq!(model.weights_digest(), GOLDEN_WEIGHTS_DIGEST);
+    let firmware = build_firmware_corpus(&FirmwareConfig::default(), &vulnerability_library());
+    for threads in THREAD_COUNTS {
+        let mut cache = IndexCache::default();
+        let (index, _) = IndexBuilder::new(&model)
+            .threads(threads)
+            .build_into(&firmware, &mut cache);
+        assert_eq!(index.functions.len(), 213);
+        assert_eq!(
+            encoding_digest(&index),
+            GOLDEN_ENCODING_DIGEST,
+            "encodings diverged from the golden digest at {threads} threads"
+        );
+        let mut asix = Vec::new();
+        cache.save(&mut asix).expect("in-memory save");
+        let mut h = asteria::nn::Fnv::new();
+        h.write(&asix);
+        assert_eq!(
+            h.finish(),
+            GOLDEN_ASIX_DIGEST,
+            "ASIX bytes diverged at {threads} threads"
+        );
+    }
+}
