@@ -20,8 +20,8 @@ use asteria::compiler::Arch;
 use asteria::core::{AsteriaModel, ModelConfig};
 use asteria::exec::resolve_threads;
 use asteria::vulnsearch::{
-    build_firmware_corpus, vulnerability_library, FirmwareConfig, IndexBuilder, IndexCache,
-    SearchIndex, SearchSession,
+    build_firmware_corpus, vulnerability_library, FirmwareConfig, FunctionQuery, IndexBuilder,
+    IndexCache, SearchIndex, SearchSession,
 };
 use asteria_bench::{timed, Scale};
 
@@ -130,7 +130,7 @@ fn main() {
         .iter()
         .map(|e| {
             serial_session
-                .encode_cve(e, Arch::X86)
+                .encode(&FunctionQuery::for_cve(e, Arch::X86))
                 .expect("library query encodes")
         })
         .collect();

@@ -610,9 +610,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         queue_capacity: num_opt(args, "--queue-capacity", defaults.queue_capacity)?,
         default_deadline_ms: num_opt(args, "--deadline-ms", defaults.default_deadline_ms)?,
         max_request_bytes: num_opt(args, "--max-request-bytes", defaults.max_request_bytes)?,
-        // Undocumented test/bench knob: pad per-batch latency to force
-        // queueing so backpressure paths can be exercised deterministically.
-        process_delay_ms: num_opt(args, "--process-delay-ms", defaults.process_delay_ms)?,
+        ..defaults
     };
     let images: usize = num_opt(args, "--images", 6)?;
     let seed: u64 = num_opt(args, "--seed", 77)?;

@@ -7,16 +7,15 @@
 //! that fans that work out across cores without changing a single bit of
 //! the output:
 //!
-//! - [`par_map_threads`] — an order-preserving parallel map over
-//!   `std::thread::scope` + channels. Work is claimed item-by-item from a
+//! - [`par_map_chunked`] — an order-preserving parallel map over
+//!   `std::thread::scope` + channels. Work is claimed in chunks from a
 //!   shared atomic cursor, results are keyed by input index, and the
 //!   output `Vec` is assembled in input order, so the result is
 //!   **bit-identical to the serial map at every thread count** (each item
 //!   is computed by the same code on the same input; only wall-clock
 //!   scheduling varies).
-//! - [`par_map_chunked`] — the same contract with chunked work claiming,
-//!   for very cheap per-item closures where channel traffic would
-//!   dominate.
+//! - [`par_map_threads`] — the same map claiming one item at a time, for
+//!   expensive per-item closures (encoding a binary, answering a query).
 //! - [`thread_count`] / [`resolve_threads`] — thread-count policy:
 //!   `ASTERIA_THREADS` (env) overrides, else
 //!   [`std::thread::available_parallelism`].
@@ -26,7 +25,7 @@
 //! stage span and the one recorder accounts for every stage.
 //!
 //! No external dependencies (no rayon): the build environment is
-//! offline, and the pool is ~100 lines of `std`.
+//! offline, and the pool is ~60 lines of `std`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,7 +63,8 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Order-preserving parallel map over `threads` workers (`0` = auto).
+/// Order-preserving parallel map over `threads` workers (`0` = auto),
+/// claiming one item at a time: [`par_map_chunked`] with chunks of one.
 ///
 /// Every item is mapped by the same closure on the same input regardless
 /// of the thread count, and results are placed by input index, so the
@@ -79,44 +79,7 @@ where
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    let threads = resolve_threads(threads).min(items.len());
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    // Workers run on fresh threads with empty span stacks; propagate the
-    // caller's open span path so their spans nest under it.
-    let parent = asteria_obs::current_path();
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            let parent = parent.as_deref();
-            s.spawn(move || {
-                let _obs = asteria_obs::worker_scope(parent);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    if tx.send((i, f(&items[i]))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let mut out: Vec<Option<T>> = Vec::with_capacity(items.len());
-        out.resize_with(items.len(), || None);
-        for (i, v) in rx {
-            out[i] = Some(v);
-        }
-        out.into_iter()
-            .map(|v| v.expect("every index produced exactly once"))
-            .collect()
-    })
+    par_map_chunked(threads, 1, items, f)
 }
 
 /// Order-preserving parallel map that claims work in chunks of

@@ -130,6 +130,34 @@ impl ServeStats {
     }
 }
 
+/// What a response reports: one per response line, each the `outcome`
+/// label of `asteria_serve_requests_total` and one [`ServeStats`] field.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Ok,
+    Query,
+    Malformed,
+    Oversized,
+    Overloaded,
+    DeadlineExceeded,
+    ShuttingDown,
+}
+
+impl Outcome {
+    /// The `outcome` label on the serve metrics.
+    fn label(self) -> &'static str {
+        match self {
+            Outcome::Ok => "ok",
+            Outcome::Query => "query",
+            Outcome::Malformed => "malformed",
+            Outcome::Oversized => "oversized",
+            Outcome::Overloaded => "overloaded",
+            Outcome::DeadlineExceeded => "deadline_exceeded",
+            Outcome::ShuttingDown => "shutting_down",
+        }
+    }
+}
+
 /// One enqueued query awaiting the batcher.
 struct Pending {
     id: Json,
@@ -145,13 +173,8 @@ struct Shared {
     config: ServeConfig,
     queue: BoundedQueue<Pending>,
     stopping: AtomicBool,
-    ok: AtomicU64,
-    query_errors: AtomicU64,
-    malformed: AtomicU64,
-    oversized: AtomicU64,
-    overloaded: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    shutting_down: AtomicU64,
+    /// Responses sent, indexed by [`Outcome`].
+    tallies: [AtomicU64; 7],
 }
 
 impl Shared {
@@ -161,13 +184,7 @@ impl Shared {
             session,
             config,
             stopping: AtomicBool::new(false),
-            ok: AtomicU64::new(0),
-            query_errors: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            oversized: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            shutting_down: AtomicU64::new(0),
+            tallies: Default::default(),
         }
     }
 
@@ -183,32 +200,28 @@ impl Shared {
     }
 
     fn stats(&self) -> ServeStats {
+        let n = |outcome: Outcome| self.tallies[outcome as usize].load(Ordering::SeqCst);
         ServeStats {
-            ok: self.ok.load(Ordering::SeqCst),
-            query_errors: self.query_errors.load(Ordering::SeqCst),
-            malformed: self.malformed.load(Ordering::SeqCst),
-            oversized: self.oversized.load(Ordering::SeqCst),
-            overloaded: self.overloaded.load(Ordering::SeqCst),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::SeqCst),
-            shutting_down: self.shutting_down.load(Ordering::SeqCst),
+            ok: n(Outcome::Ok),
+            query_errors: n(Outcome::Query),
+            malformed: n(Outcome::Malformed),
+            oversized: n(Outcome::Oversized),
+            overloaded: n(Outcome::Overloaded),
+            deadline_exceeded: n(Outcome::DeadlineExceeded),
+            shutting_down: n(Outcome::ShuttingDown),
         }
     }
 
     /// Counts one response by outcome, in both the obs counter and the
     /// final stats.
-    fn record(&self, outcome: &'static str) {
-        let cell = match outcome {
-            "ok" => &self.ok,
-            "query" => &self.query_errors,
-            "malformed" => &self.malformed,
-            "oversized" => &self.oversized,
-            "overloaded" => &self.overloaded,
-            "deadline_exceeded" => &self.deadline_exceeded,
-            _ => &self.shutting_down,
-        };
-        cell.fetch_add(1, Ordering::SeqCst);
+    fn record(&self, outcome: Outcome) {
+        self.tallies[outcome as usize].fetch_add(1, Ordering::SeqCst);
         if asteria_obs::enabled() {
-            asteria_obs::counter_add("asteria_serve_requests_total", &[("outcome", outcome)], 1);
+            asteria_obs::counter_add(
+                "asteria_serve_requests_total",
+                &[("outcome", outcome.label())],
+                1,
+            );
         }
     }
 
@@ -322,7 +335,7 @@ fn process_line(shared: &Shared, line: &str, reply: &mpsc::Sender<String>) {
     let (id, request) = match proto::parse_request(line) {
         Ok(parsed) => parsed,
         Err(ParseFailure { id, message }) => {
-            shared.record("malformed");
+            shared.record(Outcome::Malformed);
             let _ = reply.send(proto::error_response(&id, ErrorKind::Malformed, &message));
             return;
         }
@@ -355,7 +368,7 @@ fn process_line(shared: &Shared, line: &str, reply: &mpsc::Sender<String>) {
         }
         Request::Query(qr) => {
             if shared.is_stopping() {
-                shared.record("shutting_down");
+                shared.record(Outcome::ShuttingDown);
                 let _ = reply.send(proto::error_response(
                     &id,
                     ErrorKind::ShuttingDown,
@@ -379,7 +392,7 @@ fn process_line(shared: &Shared, line: &str, reply: &mpsc::Sender<String>) {
             match shared.queue.try_push(pending) {
                 Ok(depth) => shared.set_queue_gauge(depth),
                 Err(PushError::Full(p)) => {
-                    shared.record("overloaded");
+                    shared.record(Outcome::Overloaded);
                     let _ = p.reply.send(proto::error_response(
                         &p.id,
                         ErrorKind::Overloaded,
@@ -387,7 +400,7 @@ fn process_line(shared: &Shared, line: &str, reply: &mpsc::Sender<String>) {
                     ));
                 }
                 Err(PushError::Closed(p)) => {
-                    shared.record("shutting_down");
+                    shared.record(Outcome::ShuttingDown);
                     let _ = p.reply.send(proto::error_response(
                         &p.id,
                         ErrorKind::ShuttingDown,
@@ -397,6 +410,25 @@ fn process_line(shared: &Shared, line: &str, reply: &mpsc::Sender<String>) {
             }
         }
     }
+}
+
+/// Handles one read step; returns `false` when the read loop should end
+/// (end of stream, a broken stream, or a poll timeout while draining).
+fn process_event(shared: &Shared, event: LineEvent, reply: &mpsc::Sender<String>) -> bool {
+    match event {
+        LineEvent::Line(line) => process_line(shared, &line, reply),
+        LineEvent::Oversized => {
+            shared.record(Outcome::Oversized);
+            let _ = reply.send(proto::error_response(
+                &Json::Null,
+                ErrorKind::Oversized,
+                "request line exceeds max_request_bytes",
+            ));
+        }
+        LineEvent::TimedOut => return !shared.is_stopping(),
+        LineEvent::Eof | LineEvent::Error => return false,
+    }
+    true
 }
 
 /// The batcher: pops batches until the queue is closed **and** drained,
@@ -418,7 +450,7 @@ fn run_batcher(shared: &Shared) {
             .into_iter()
             .partition(|p| p.deadline.is_none_or(|d| now < d));
         for p in expired {
-            shared.record("deadline_exceeded");
+            shared.record(Outcome::DeadlineExceeded);
             let _ = p.reply.send(proto::error_response(
                 &p.id,
                 ErrorKind::DeadlineExceeded,
@@ -427,7 +459,7 @@ fn run_batcher(shared: &Shared) {
             if asteria_obs::enabled() {
                 asteria_obs::observe_seconds(
                     "asteria_serve_request_seconds",
-                    &[("outcome", "deadline_exceeded")],
+                    &[("outcome", Outcome::DeadlineExceeded.label())],
                     p.enqueued.elapsed().as_secs_f64(),
                 );
             }
@@ -448,24 +480,37 @@ fn run_batcher(shared: &Shared) {
         for (p, answer) in live.into_iter().zip(answers) {
             let (outcome, response) = match answer {
                 Ok(result) => (
-                    "ok",
+                    Outcome::Ok,
                     proto::ok_response(
                         &p.id,
                         proto::render_outcome(&result, shared.session.index()),
                     ),
                 ),
-                Err(e) => ("query", proto::query_error_response(&p.id, &e)),
+                Err(e) => (Outcome::Query, proto::query_error_response(&p.id, &e)),
             };
             shared.record(outcome);
             let _ = p.reply.send(response);
             if asteria_obs::enabled() {
                 asteria_obs::observe_seconds(
                     "asteria_serve_request_seconds",
-                    &[("outcome", outcome)],
+                    &[("outcome", outcome.label())],
                     p.enqueued.elapsed().as_secs_f64(),
                 );
             }
         }
+    }
+}
+
+/// The writer half of a connection (TCP or stdio): writes each response
+/// line as it arrives, flushing after each one, until every sender is
+/// gone and the channel is drained or the peer stops reading.
+fn write_responses<W: Write>(rx: mpsc::Receiver<String>, out: W) {
+    let mut out = io::BufWriter::new(out);
+    for line in rx {
+        if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
+            break;
+        }
+        let _ = out.flush();
     }
 }
 
@@ -599,35 +644,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         Err(_) => return,
     };
     let (tx, rx) = mpsc::channel::<String>();
-    let writer = std::thread::spawn(move || {
-        let mut out = io::BufWriter::new(write_half);
-        for line in rx {
-            if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
-                break;
-            }
-            let _ = out.flush();
-        }
-    });
+    let writer = std::thread::spawn(move || write_responses(rx, write_half));
     let mut reader = LineReader::new(stream, shared.config.max_request_bytes);
-    loop {
-        match reader.next_event() {
-            LineEvent::Line(line) => process_line(shared, &line, &tx),
-            LineEvent::Oversized => {
-                shared.record("oversized");
-                let _ = tx.send(proto::error_response(
-                    &Json::Null,
-                    ErrorKind::Oversized,
-                    "request line exceeds max_request_bytes",
-                ));
-            }
-            LineEvent::TimedOut => {
-                if shared.is_stopping() {
-                    break;
-                }
-            }
-            LineEvent::Eof | LineEvent::Error => break,
-        }
-    }
+    while process_event(shared, reader.next_event(), &tx) {}
     drop(tx);
     let _ = writer.join();
 }
@@ -650,34 +669,9 @@ pub fn run_stdio<R: Read, W: Write + Send>(
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::scope(|scope| {
         scope.spawn(|| run_batcher(&shared));
-        scope.spawn(move || {
-            let mut out = io::BufWriter::new(output);
-            for line in rx {
-                if out.write_all(line.as_bytes()).is_err() || out.write_all(b"\n").is_err() {
-                    break;
-                }
-                let _ = out.flush();
-            }
-        });
+        scope.spawn(move || write_responses(rx, output));
         let mut reader = LineReader::new(input, shared.config.max_request_bytes);
-        loop {
-            if shared.is_stopping() {
-                break;
-            }
-            match reader.next_event() {
-                LineEvent::Line(line) => process_line(&shared, &line, &tx),
-                LineEvent::Oversized => {
-                    shared.record("oversized");
-                    let _ = tx.send(proto::error_response(
-                        &Json::Null,
-                        ErrorKind::Oversized,
-                        "request line exceeds max_request_bytes",
-                    ));
-                }
-                LineEvent::TimedOut => {}
-                LineEvent::Eof | LineEvent::Error => break,
-            }
-        }
+        while !shared.is_stopping() && process_event(&shared, reader.next_event(), &tx) {}
         shared.begin_shutdown();
         drop(tx);
     });

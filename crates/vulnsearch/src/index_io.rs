@@ -43,7 +43,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 
 use asteria_compiler::Binary;
-use asteria_core::ExtractionReport;
+use asteria_core::{ExtractionReport, FunctionEncoding};
 use asteria_decompiler::DecompileLimits;
 use asteria_nn::Fnv;
 
@@ -124,28 +124,18 @@ impl From<io::Error> for IndexError {
     }
 }
 
-/// One cached function: the embedding plus the identity metadata needed
-/// to rebuild an index row without re-running extraction or encoding.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedFunction {
-    /// Stripped display name.
-    pub name: String,
-    /// Calibration feature C (filtered callee count).
-    pub callee_count: usize,
-    /// Tree-LSTM encoding, exact bits.
-    pub vector: Vec<f32>,
-}
-
-/// One cached binary: every successfully encoded function in symbol
-/// order, plus the extraction report (including skips) from the cold
-/// run, so a warm rebuild reproduces the corpus-coverage accounting
-/// bit-for-bit.
+/// One cached binary: the encoding of every successfully extracted
+/// function in symbol order (name, callee count and exact vector bits —
+/// everything needed to rebuild an index row without re-running
+/// extraction or encoding), plus the extraction report (including
+/// skips) from the cold run, so a warm rebuild reproduces the
+/// corpus-coverage accounting bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedBinary {
     /// Per-binary extraction outcome of the cold build.
     pub report: ExtractionReport,
     /// Encoded functions in the order the cold build produced them.
-    pub functions: Vec<CachedFunction>,
+    pub functions: Vec<FunctionEncoding>,
 }
 
 /// Aggregate cache accounting for one incremental build.
@@ -396,10 +386,10 @@ fn decode_payload(payload: &[u8], base: usize) -> Result<CachedBinary, IndexErro
             let raw = c.u32("vector element")?;
             vector.push(f32::from_bits(raw));
         }
-        functions.push(CachedFunction {
+        functions.push(FunctionEncoding {
             name,
-            callee_count,
             vector,
+            callee_count,
         });
     }
     if c.pos - base != payload.len() {
@@ -524,15 +514,15 @@ mod tests {
                     ..Default::default()
                 },
                 functions: vec![
-                    CachedFunction {
+                    FunctionEncoding {
                         name: "sub_40".into(),
-                        callee_count: 2,
                         vector: vec![1.5, -0.25, f32::MIN_POSITIVE],
+                        callee_count: 2,
                     },
-                    CachedFunction {
+                    FunctionEncoding {
                         name: "sub_8c".into(),
-                        callee_count: 0,
                         vector: vec![0.0, -0.0],
+                        callee_count: 0,
                     },
                 ],
             },

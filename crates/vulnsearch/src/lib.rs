@@ -28,8 +28,8 @@ pub mod session;
 
 pub use firmware::{build_firmware_corpus, FirmwareConfig, FirmwareImage, PlantedFunction};
 pub use index_io::{
-    extraction_params_digest, fingerprint_binary, CacheStats, CachedBinary, CachedFunction,
-    IndexCache, IndexError, ASIX_MAGIC, ASIX_VERSION,
+    extraction_params_digest, fingerprint_binary, CacheStats, CachedBinary, IndexCache, IndexError,
+    ASIX_MAGIC, ASIX_VERSION,
 };
 pub use library::{vulnerability_library, CveEntry};
 pub use report::{

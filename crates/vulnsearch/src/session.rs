@@ -3,18 +3,21 @@
 //!
 //! - [`IndexBuilder`] — an options-struct builder for the offline phase:
 //!   `.threads(n)`, `.cache(path)` (persistent ASIX warm starts),
-//!   `.limits(l)` / `.inline_beta(β)` (extraction budgets), producing a
-//!   [`SearchIndex`] plus [`CacheStats`].
+//!   producing a [`SearchIndex`] plus [`CacheStats`].
 //! - [`SearchSession`] — holds the model and the index and answers
 //!   queries: [`SearchSession::query`] / [`SearchSession::query_batch`]
 //!   for ad-hoc function lookups (the serving path),
 //!   [`SearchSession::run`] for the paper's Table IV experiment.
 //!
 //! CLI one-shots, benches, and the long-running `asteria serve` daemon
-//! all go through these two types. A session's answers are
+//! all go through these two types. Both extract under one setting, the
+//! default inlining β ([`DEFAULT_INLINE_BETA`]) and decompile budgets
+//! ([`DecompileLimits::default`]), so a query is always encoded exactly
+//! like the functions it is ranked against. A session's answers are
 //! bit-identical at every thread count, and batched queries are
 //! bit-identical to one-at-a-time queries.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -22,16 +25,15 @@ use std::sync::Arc;
 
 use asteria_compiler::{compile_program, Arch};
 use asteria_core::{
-    encode_function, extract_binary_resilient_with, extract_function_with, function_similarity,
-    AsteriaModel, FunctionEncoding, DEFAULT_INLINE_BETA,
+    encode_function, extract_binary_resilient, extract_function, function_similarity, AsteriaModel,
+    FunctionEncoding, DEFAULT_INLINE_BETA,
 };
 use asteria_decompiler::{BudgetKind, DecompileLimits};
 use asteria_lang::parse;
 
 use crate::firmware::FirmwareImage;
 use crate::index_io::{
-    extraction_params_digest, fingerprint_binary, CacheStats, CachedBinary, CachedFunction,
-    IndexCache, IndexError,
+    extraction_params_digest, fingerprint_binary, CacheStats, CachedBinary, IndexCache, IndexError,
 };
 use crate::library::CveEntry;
 use crate::search::{
@@ -66,8 +68,6 @@ pub const DEFAULT_TOP_K: usize = 10;
 pub struct IndexBuilder<'m> {
     model: &'m AsteriaModel,
     threads: usize,
-    inline_beta: usize,
-    limits: DecompileLimits,
     cache_path: Option<PathBuf>,
     seed_cache: Option<IndexCache>,
 }
@@ -86,14 +86,12 @@ pub struct IndexBuild {
 }
 
 impl<'m> IndexBuilder<'m> {
-    /// A builder with default options: auto thread count, default
-    /// inlining β and decompile budgets, no persistent cache.
+    /// A builder with default options: auto thread count, no persistent
+    /// cache.
     pub fn new(model: &'m AsteriaModel) -> IndexBuilder<'m> {
         IndexBuilder {
             model,
             threads: 0,
-            inline_beta: DEFAULT_INLINE_BETA,
-            limits: DecompileLimits::default(),
             cache_path: None,
             seed_cache: None,
         }
@@ -121,21 +119,6 @@ impl<'m> IndexBuilder<'m> {
     /// configured, is still written back).
     pub fn seed_cache(mut self, cache: IndexCache) -> Self {
         self.seed_cache = Some(cache);
-        self
-    }
-
-    /// Decompilation budgets for extraction. Changing limits changes the
-    /// extraction-parameters digest, so a persistent cache built under
-    /// different limits self-invalidates.
-    pub fn limits(mut self, limits: DecompileLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Callee-expansion depth β for extraction (paper §III; the digest
-    /// binds it like [`IndexBuilder::limits`]).
-    pub fn inline_beta(mut self, beta: usize) -> Self {
-        self.inline_beta = beta;
         self
     }
 
@@ -195,7 +178,8 @@ impl<'m> IndexBuilder<'m> {
     ) -> (SearchIndex, CacheStats) {
         let mut build_span = asteria_obs::span("index-build");
         let model_digest = self.model.weights_digest();
-        let params_digest = extraction_params_digest(self.inline_beta, &self.limits);
+        let params_digest =
+            extraction_params_digest(DEFAULT_INLINE_BETA, &DecompileLimits::default());
         let mut stats = CacheStats::default();
         if cache.model_digest != model_digest || cache.params_digest != params_digest {
             // Retraining or a budget change invalidates every embedding.
@@ -226,54 +210,43 @@ impl<'m> IndexBuilder<'m> {
                     .find(|p| p.binary_index == bi && p.display_name == name)
                     .map(|p| (p.cve_index, p.vulnerable))
             };
-            if let Some(cached) = cache_ref.get(fingerprint) {
-                // Warm: replay embeddings and report; skip extraction and
-                // all Tree-LSTM encoding.
-                let functions: Vec<IndexedFunction> = cached
-                    .functions
-                    .iter()
-                    .map(|f| IndexedFunction {
-                        image: ii,
-                        binary: bi,
-                        name: f.name.clone(),
-                        encoding: FunctionEncoding {
-                            name: f.name.clone(),
-                            vector: f.vector.clone(),
-                            callee_count: f.callee_count,
-                        },
-                        ground_truth: attach_truth(&f.name),
-                    })
-                    .collect();
-                bin_span.set_items(functions.len() as u64);
-                bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", "warm")]);
-                return (functions, cached.report, fingerprint, None);
-            }
-            // Cold: the full resilient extraction + encoding pipeline.
-            let extraction = extract_binary_resilient_with(binary, self.inline_beta, &self.limits);
-            let functions: Vec<IndexedFunction> = extraction
-                .successes()
-                .map(|f| IndexedFunction {
+            // Warm: replay the cached encodings and report, skipping
+            // extraction and all Tree-LSTM encoding. Cold: the full
+            // resilient extraction + encoding pipeline.
+            let (entry, mode) = match cache_ref.get(fingerprint) {
+                Some(cached) => (Cow::Borrowed(cached), "warm"),
+                None => {
+                    let extraction = extract_binary_resilient(binary, DEFAULT_INLINE_BETA);
+                    let functions = extraction
+                        .successes()
+                        .map(|f| encode_function(self.model, f))
+                        .collect();
+                    let entry = CachedBinary {
+                        report: extraction.report,
+                        functions,
+                    };
+                    (Cow::Owned(entry), "cold")
+                }
+            };
+            let functions: Vec<IndexedFunction> = entry
+                .functions
+                .iter()
+                .map(|encoding| IndexedFunction {
                     image: ii,
                     binary: bi,
-                    name: f.name.clone(),
-                    encoding: encode_function(self.model, f),
-                    ground_truth: attach_truth(&f.name),
+                    name: encoding.name.clone(),
+                    encoding: encoding.clone(),
+                    ground_truth: attach_truth(&encoding.name),
                 })
                 .collect();
-            let entry = CachedBinary {
-                report: extraction.report,
-                functions: functions
-                    .iter()
-                    .map(|f| CachedFunction {
-                        name: f.name.clone(),
-                        callee_count: f.encoding.callee_count,
-                        vector: f.encoding.vector.clone(),
-                    })
-                    .collect(),
-            };
             bin_span.set_items(functions.len() as u64);
-            bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", "cold")]);
-            (functions, extraction.report, fingerprint, Some(entry))
+            bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", mode)]);
+            let report = entry.report;
+            let new_entry = match entry {
+                Cow::Owned(entry) => Some(entry),
+                Cow::Borrowed(_) => None,
+            };
+            (functions, report, fingerprint, new_entry)
         });
 
         let mut index = SearchIndex::default();
@@ -388,8 +361,6 @@ pub struct SearchSession {
     model: Arc<AsteriaModel>,
     index: SearchIndex,
     threads: usize,
-    inline_beta: usize,
-    limits: DecompileLimits,
 }
 
 impl SearchSession {
@@ -400,27 +371,12 @@ impl SearchSession {
             model: model.into(),
             index,
             threads: 0,
-            inline_beta: DEFAULT_INLINE_BETA,
-            limits: DecompileLimits::default(),
         }
     }
 
     /// Worker-thread count for query encoding and ranking (`0` = auto).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Decompilation budgets for query-side extraction (match the
-    /// builder's for digest-consistent behavior).
-    pub fn limits(mut self, limits: DecompileLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Callee-expansion depth β for query-side extraction.
-    pub fn inline_beta(mut self, beta: usize) -> Self {
-        self.inline_beta = beta;
         self
     }
 
@@ -452,19 +408,9 @@ impl SearchSession {
         let sym = binary
             .symbol_index(&query.function)
             .ok_or_else(|| fail(QueryErrorKind::MissingFunction))?;
-        let f = extract_function_with(&binary, sym, self.inline_beta, &self.limits)
+        let f = extract_function(&binary, sym, DEFAULT_INLINE_BETA)
             .map_err(|e| fail(QueryErrorKind::Extract(e)))?;
         Ok(encode_function(&self.model, &f))
-    }
-
-    /// Encodes a CVE library entry's vulnerable source (the Table IV
-    /// query shape).
-    ///
-    /// # Errors
-    ///
-    /// A typed [`QueryError`] naming the failing stage.
-    pub fn encode_cve(&self, entry: &CveEntry, arch: Arch) -> Result<FunctionEncoding, QueryError> {
-        self.encode(&FunctionQuery::for_cve(entry, arch))
     }
 
     /// Ranks the whole index against an already-encoded query. The full
@@ -586,7 +532,7 @@ impl SearchSession {
         // Fan the CVE set out for query encoding, then surface the first
         // failure in deterministic library order.
         let queries = asteria_exec::par_map_threads(self.threads, library, |entry| {
-            self.encode_cve(entry, query_arch)
+            self.encode(&FunctionQuery::for_cve(entry, query_arch))
         });
         let mut results = Vec::with_capacity(library.len());
         for (cve_index, (entry, query)) in library.iter().zip(queries).enumerate() {
@@ -751,7 +697,7 @@ mod tests {
         let total = index.len();
         let session = SearchSession::new(model, index);
         let q = session
-            .encode_cve(&lib[0], Arch::X86)
+            .encode(&FunctionQuery::for_cve(&lib[0], Arch::X86))
             .expect("query encodes");
         let hits = session.rank(&q);
         assert_eq!(hits.len(), total);
@@ -1044,7 +990,7 @@ mod tests {
         let total = index.len();
         let session = SearchSession::new(model, index);
         let q = session
-            .encode_cve(&lib[0], Arch::X86)
+            .encode(&FunctionQuery::for_cve(&lib[0], Arch::X86))
             .expect("query encodes");
         let hits = session.rank(&q);
         assert_eq!(hits.len(), total);

@@ -4,8 +4,8 @@
 //! fingerprint order), and arbitrary byte-level corruption of a valid
 //! file must yield a typed `IndexError`, never a panic.
 
-use asteria::core::ExtractionReport;
-use asteria::vulnsearch::{CachedBinary, CachedFunction, IndexCache};
+use asteria::core::{ExtractionReport, FunctionEncoding};
+use asteria::vulnsearch::{CachedBinary, IndexCache};
 use proptest::prelude::*;
 
 /// Deterministically expands a small integer seed into a cache with
@@ -23,8 +23,8 @@ fn cache_from_seed(seed: u64, entries: usize) -> IndexCache {
     for e in 0..entries {
         let nfuncs = (next() % 4) as usize;
         let skipped = (next() % 3) as usize;
-        let functions: Vec<CachedFunction> = (0..nfuncs)
-            .map(|f| CachedFunction {
+        let functions: Vec<FunctionEncoding> = (0..nfuncs)
+            .map(|f| FunctionEncoding {
                 name: format!("fn_{e}_{f}_{}", next() % 1000),
                 callee_count: (next() % 17) as usize,
                 vector: (0..(next() % 6) as usize)

@@ -4,15 +4,21 @@
 //! perturb any bit-identity-checked payload — the search index bits and
 //! the ASIX cache bytes are the same with the recorder on or off.
 //!
+//! The serve layer's per-outcome accounting rides here too: every
+//! response is counted once, in the `asteria_serve_requests_total`
+//! counter and in `ServeStats` alike.
+//!
 //! Timings (histogram sums, span durations) are intentionally out of
 //! scope: only counts carry the invariant.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::io::{Cursor, Read};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use asteria::core::{AsteriaModel, ModelConfig};
+use asteria::serve::{json, signal, ServeConfig};
 use asteria::vulnsearch::{
     build_firmware_corpus, vulnerability_library, FirmwareConfig, IndexBuilder, IndexCache,
-    SearchIndex,
+    SearchIndex, SearchSession,
 };
 
 fn build_threads(
@@ -225,4 +231,103 @@ fn asix_cache_bytes_are_identical_warm_vs_cold_with_tracing() {
             .any(|(k, v)| k.starts_with("asteria_cache_hits_total") && *v > 0),
         "tracing was not active during the warm build"
     );
+}
+
+/// Stdin stand-in for a stdio server: delivers `before`, then raises the
+/// process-wide shutdown flag — as SIGTERM would while the server blocks
+/// on its next read — and delivers `after`.
+struct SignalBetween {
+    before: Cursor<String>,
+    after: Cursor<String>,
+}
+
+impl Read for SignalBetween {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.before.read(buf)?;
+        if n > 0 || buf.is_empty() {
+            return Ok(n);
+        }
+        signal::request_shutdown();
+        self.after.read(buf)
+    }
+}
+
+#[test]
+fn serve_outcome_counters_match_stats_and_response_lines() {
+    let (model, firmware) = fixture();
+    let index = build_threads(&model, &firmware, 1);
+    let session = Arc::new(SearchSession::new(model, index).threads(1));
+    let rec = Recording::start();
+    let collector = rec.collector();
+    collector.reset();
+    // No server runs in this test binary except the one below, so the
+    // process-wide shutdown flag is this test's alone.
+    signal::reset();
+
+    let oversized = format!(r#"{{"id":5,"op":"ping","pad":"{}"}}"#, "x".repeat(4000));
+    let before = [
+        r#"{"id":1,"op":"ping"}"#,
+        r#"{"id":2,"op":"query","function":"f","source":"int f(int a){return a*31+7;}"}"#,
+        r#"{"id":3,"op":"query","function":"g","source":"int g(int a){return a-1;}","top_k":2}"#,
+        r#"{"id":4,"op":"query","function":"nope","source":"int f(int a){return a;}"}"#,
+        "this is not json",
+        &oversized,
+        r#"{"id":6,"op":"query","function":"f","source":"int f(int a){return a;}","deadline_ms":0}"#,
+    ]
+    .map(|line| format!("{line}\n"))
+    .concat();
+    let after = r#"{"id":7,"op":"query","function":"f","source":"int f(int a){return a;}"}"#;
+    let input = SignalBetween {
+        before: Cursor::new(before),
+        after: Cursor::new(format!("{after}\n")),
+    };
+    let config = ServeConfig {
+        max_request_bytes: 1024,
+        ..Default::default()
+    };
+    let mut output = Vec::new();
+    let stats = asteria::serve::run_stdio(session, config, input, &mut output);
+    signal::reset();
+
+    // Tally response lines by kind: `ok` for query answers (the ping's
+    // pong is a control op, not a counted outcome), the error kind
+    // otherwise.
+    let text = String::from_utf8(output).expect("utf8");
+    let mut lines = std::collections::BTreeMap::<String, u64>::new();
+    for line in text.lines() {
+        let v = json::parse(line).expect("response parses");
+        let kind = match v.get("error").and_then(|e| e.get("kind")) {
+            Some(kind) => kind.as_str().expect("kind is a string").to_string(),
+            None if v.get("result").and_then(|r| r.get("hits")).is_some() => "ok".into(),
+            None => continue,
+        };
+        *lines.entry(kind).or_default() += 1;
+    }
+
+    let counters = collector.snapshot().counters;
+    let counter = |outcome: &str| {
+        counters
+            .get(&format!(
+                "asteria_serve_requests_total{{outcome=\"{outcome}\"}}"
+            ))
+            .copied()
+            .unwrap_or(0)
+    };
+    let by_outcome = [
+        ("ok", stats.ok, 2),
+        ("query", stats.query_errors, 1),
+        ("malformed", stats.malformed, 1),
+        ("oversized", stats.oversized, 1),
+        ("overloaded", stats.overloaded, 0),
+        ("deadline_exceeded", stats.deadline_exceeded, 1),
+        ("shutting_down", stats.shutting_down, 1),
+    ];
+    for (outcome, stat, expected) in by_outcome {
+        let seen = lines.get(outcome).copied().unwrap_or(0);
+        assert_eq!(stat, expected, "ServeStats {outcome}: {stats:?}\n{text}");
+        assert_eq!(counter(outcome), stat, "counter vs stats for {outcome}");
+        assert_eq!(seen, stat, "response lines vs stats for {outcome}\n{text}");
+    }
+    assert_eq!(stats.total(), 7, "{stats:?}");
+    assert_eq!(text.lines().count(), 8, "one line per request\n{text}");
 }

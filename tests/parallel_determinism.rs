@@ -9,8 +9,8 @@ use std::sync::Arc;
 use asteria::compiler::Arch;
 use asteria::core::{AsteriaModel, ModelConfig};
 use asteria::vulnsearch::{
-    build_firmware_corpus, vulnerability_library, FirmwareConfig, IndexBuilder, IndexCache,
-    SearchIndex, SearchSession,
+    build_firmware_corpus, vulnerability_library, FirmwareConfig, FunctionQuery, IndexBuilder,
+    IndexCache, SearchIndex, SearchSession,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -126,7 +126,9 @@ fn search_ranking_is_identical_at_every_thread_count() {
     let library = vulnerability_library();
     let mut session = SearchSession::new(Arc::new(model), index).threads(1);
     for entry in &library {
-        let query = session.encode_cve(entry, Arch::X86).expect("query encodes");
+        let query = session
+            .encode(&FunctionQuery::for_cve(entry, Arch::X86))
+            .expect("query encodes");
         session = session.threads(1); // serial reference for this entry
         let serial = session.rank(&query);
         for threads in THREAD_COUNTS {
