@@ -5,7 +5,9 @@
 //!     preprocessing (A-P), Tree-LSTM encoding (A-E) for Asteria; AST
 //!     hashing for Diaphora (D-H); ACFG extraction (G-EX) and embedding
 //!     (G-EN) for Gemini;
-//! (c) online-phase time per pair for all three systems.
+//! (c) online-phase time per pair for all three systems; Asteria both
+//!     one pair at a time and through the rank slab (every encoding
+//!     scored against all of them, a tile of entries per call).
 //!
 //! Every stage runs as one `asteria-obs` span; the printed seconds are
 //! read back from the recorder's span records.
@@ -13,7 +15,7 @@
 use std::hint::black_box;
 
 use asteria::baselines::{diaphora_similarity, extract_acfg, hash_ast, GeminiConfig, GeminiModel};
-use asteria::core::{binarize, digitalize, AsteriaModel, ModelConfig};
+use asteria::core::{binarize, digitalize, AsteriaModel, EncodingSlab, ModelConfig};
 use asteria::decompiler::decompile_function;
 use asteria::eval::{cdf_points, percentile};
 use asteria_bench::{timed, Scale};
@@ -172,6 +174,18 @@ fn main() {
             }
         }
     });
+    let slab = EncodingSlab::new(model.config().hidden_dim, enc.iter().map(Vec::as_slice));
+    let slab_reps = 40;
+    let (_, t_slab) = timed("online-asteria-slab", || {
+        for _ in 0..slab_reps {
+            for q in &enc {
+                let scorer = model.query_scorer(q);
+                for tile in 0..slab.tiles() {
+                    black_box(scorer.score_tile(&slab, tile));
+                }
+            }
+        }
+    });
     let (_, t_gemini) = timed("online-gemini", || {
         for _ in 0..online_reps {
             for i in 0..n {
@@ -190,15 +204,21 @@ fn main() {
             }
         }
     });
-    let (a, g, d) = (
+    let (a, a_slab, g, d) = (
         t_asteria / (online_reps * n) as f64,
+        t_slab / (slab_reps * n * n) as f64,
         t_gemini / (online_reps * n) as f64,
         t_diaphora / (diaphora_reps * n) as f64,
     );
     println!("| Asteria | {a:.3e} |");
+    println!("| Asteria (slab) | {a_slab:.3e} |");
     println!("| Gemini | {g:.3e} |");
     println!("| Diaphora | {d:.3e} |");
     println!();
+    println!(
+        "cores: {} (every row runs on one thread)",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
     println!(
         "speedups: Asteria is {:.1}x faster than Gemini, {:.1}x faster than Diaphora",
         g / a,

@@ -46,6 +46,7 @@ pub mod model;
 pub mod nodes;
 pub mod pipeline;
 pub mod siamese;
+pub mod slab;
 pub mod train;
 
 pub use binarize::{binarize, binarize_truncated, BinTree};
@@ -58,6 +59,7 @@ pub use pipeline::{
     ExtractionReport, FunctionEncoding, FunctionOutcome, ResilientExtraction, DEFAULT_INLINE_BETA,
 };
 pub use siamese::{SiameseHead, SiameseKind};
+pub use slab::{EncodingSlab, QueryScorer, SLAB_TILE};
 pub use train::{
     train, train_epoch, train_with_validation, validation_scores, EpochStats, TrainOptions,
     TrainPair,

@@ -13,6 +13,7 @@ use crate::binarize::BinTree;
 use crate::encoder::{LeafInit, TreeLstm, TreeLstmKernel};
 use crate::nodes::NodeType;
 use crate::siamese::{SiameseHead, SiameseKind};
+use crate::slab::QueryScorer;
 
 /// Model hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,6 +145,17 @@ impl AsteriaModel {
     /// Online-phase similarity from two cached encodings (Fig. 10c).
     pub fn similarity_from_encodings(&self, a: &[f32], b: &[f32]) -> f32 {
         self.head.similarity_from_vecs(&self.store, a, b)
+    }
+
+    /// Prepares a query encoding for the tiled online phase: scoring it
+    /// against an [`EncodingSlab`](crate::EncodingSlab) gives the bits of
+    /// [`AsteriaModel::similarity_from_encodings`] with the query as `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query` does not have `hidden_dim` components.
+    pub fn query_scorer(&self, query: &[f32]) -> QueryScorer {
+        self.head.query_scorer(&self.store, query)
     }
 
     /// One SGD step on a labelled AST pair; returns the loss.

@@ -5,6 +5,8 @@ use rand::Rng;
 
 use asteria_nn::{Graph, NodeId, ParamId, ParamStore, Tensor};
 
+use crate::slab::QueryScorer;
+
 /// Which similarity head the Siamese network uses — the paper's Fig. 9
 /// "Classification vs Regression" ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,20 +138,54 @@ impl SiameseHead {
                     }
                     *logit = acc;
                 }
-                let m = logits[0].max(logits[1]);
-                let e0 = (logits[0] - m).exp();
-                let e1 = (logits[1] - m).exp();
-                e1 / (e0 + e1)
+                softmax_similarity(logits[0], logits[1])
             }
             SiameseKind::Regression => {
                 let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
                 let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
                 let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
-                let cos = dot / (na * nb).max(1e-7);
-                0.5 * cos + 0.5
+                cosine_similarity(dot, na, nb)
             }
         }
     }
+
+    /// Prepares `query` for scoring many cached encodings at once with
+    /// [`QueryScorer::score_tile`], bit-identical to
+    /// [`SiameseHead::similarity_from_vecs`] with `query` as `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query` does not match the configured hidden size.
+    pub fn query_scorer(&self, store: &ParamStore, query: &[f32]) -> QueryScorer {
+        assert_eq!(query.len(), self.hidden, "encoding size mismatch");
+        match self.kind {
+            SiameseKind::Classification => {
+                let w = store.value(self.w.expect("classification head"));
+                QueryScorer::classification(w.as_slice(), query)
+            }
+            SiameseKind::Regression => QueryScorer::regression(query),
+        }
+    }
+}
+
+/// The classification head's softmax over its two logits, `[1]`: the
+/// similarity share. Shared by the per-pair and the tiled path.
+///
+/// The larger logit's term is `exp(0)`, which is exactly `1` (IEEE 754
+/// and C Annex F require `exp(±0) = 1`), so it skips the call.
+pub(crate) fn softmax_similarity(l0: f32, l1: f32) -> f32 {
+    let m = l0.max(l1);
+    let exp = |x: f32| if x == 0.0 { 1.0 } else { x.exp() };
+    let e0 = exp(l0 - m);
+    let e1 = exp(l1 - m);
+    e1 / (e0 + e1)
+}
+
+/// The regression head's cosine mapped to `[0, 1]`, from the dot product
+/// and the two norms. Shared by the per-pair and the tiled path.
+pub(crate) fn cosine_similarity(dot: f32, na: f32, nb: f32) -> f32 {
+    let cos = dot / (na * nb).max(1e-7);
+    0.5 * cos + 0.5
 }
 
 #[cfg(test)]
@@ -239,6 +275,16 @@ mod tests {
             "similarity after training toward homologous: {fast}"
         );
         assert!(loss_before > 0.0);
+    }
+
+    #[test]
+    fn exp_of_zero_is_exactly_one() {
+        // `softmax_similarity` relies on this instead of calling `exp`.
+        // `black_box` keeps the calls at run time, in the platform libm.
+        for zero in [0.0f32, -0.0] {
+            let e = std::hint::black_box(zero).exp();
+            assert_eq!(e.to_bits(), 1.0f32.to_bits());
+        }
     }
 
     #[test]

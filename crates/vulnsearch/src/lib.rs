@@ -22,6 +22,7 @@
 pub mod firmware;
 pub mod index_io;
 pub mod library;
+mod rank;
 pub mod report;
 pub mod search;
 pub mod session;

@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 use asteria_compiler::{compile_program, Arch};
 use asteria_core::{
-    encode_function, extract_binary_resilient, extract_function, function_similarity, AsteriaModel,
-    FunctionEncoding, DEFAULT_INLINE_BETA,
+    encode_function, extract_binary_resilient, extract_function, AsteriaModel, FunctionEncoding,
+    DEFAULT_INLINE_BETA,
 };
 use asteria_decompiler::{BudgetKind, DecompileLimits};
 use asteria_lang::parse;
@@ -36,6 +36,7 @@ use crate::index_io::{
     extraction_params_digest, fingerprint_binary, CacheStats, CachedBinary, IndexCache, IndexError,
 };
 use crate::library::CveEntry;
+use crate::rank::{rank_order, RankSlab};
 use crate::search::{
     CveSearchResult, IndexedFunction, QueryError, QueryErrorKind, SearchHit, SearchIndex,
 };
@@ -178,6 +179,7 @@ impl<'m> IndexBuilder<'m> {
     ) -> (SearchIndex, CacheStats) {
         let mut build_span = asteria_obs::span("index-build");
         let model_digest = self.model.weights_digest();
+        let hidden = self.model.config().hidden_dim;
         let params_digest =
             extraction_params_digest(DEFAULT_INLINE_BETA, &DecompileLimits::default());
         let mut stats = CacheStats::default();
@@ -212,8 +214,13 @@ impl<'m> IndexBuilder<'m> {
             };
             // Warm: replay the cached encodings and report, skipping
             // extraction and all Tree-LSTM encoding. Cold: the full
-            // resilient extraction + encoding pipeline.
-            let (entry, mode) = match cache_ref.get(fingerprint) {
+            // resilient extraction + encoding pipeline. An entry holding a
+            // vector of the wrong size (the digests check the model, not
+            // the entry) is a miss, re-encoded and overwritten.
+            let cached = cache_ref
+                .get(fingerprint)
+                .filter(|c| c.functions.iter().all(|f| f.vector.len() == hidden));
+            let (entry, mode) = match cached {
                 Some(cached) => (Cow::Borrowed(cached), "warm"),
                 None => {
                     let extraction = extract_binary_resilient(binary, DEFAULT_INLINE_BETA);
@@ -326,13 +333,8 @@ impl FunctionQuery {
 
     /// Identity of the *answer* this query produces (label excluded:
     /// requests that differ only in label share one encode + ranking).
-    fn dedup_key(&self) -> (String, String, u8, usize) {
-        (
-            self.source.clone(),
-            self.function.clone(),
-            self.arch as u8,
-            self.top_k,
-        )
+    fn dedup_key(&self) -> (&str, &str, u8, usize) {
+        (&self.source, &self.function, self.arch as u8, self.top_k)
     }
 }
 
@@ -360,16 +362,30 @@ pub struct QueryOutcome {
 pub struct SearchSession {
     model: Arc<AsteriaModel>,
     index: SearchIndex,
+    /// The index's vectors again, laid out for ranking.
+    slab: RankSlab,
     threads: usize,
 }
 
 impl SearchSession {
     /// A session over a built index. Accepts the model by value or
     /// already shared (`Arc<AsteriaModel>`).
+    ///
+    /// Copies the index's encodings once into the rank slab, ordered by
+    /// callee count (DESIGN.md §14).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an encoding in `index` does not have the model's
+    /// `hidden_dim` components. An index from [`IndexBuilder`] always
+    /// has; only a hand-built one can fail this check.
     pub fn new(model: impl Into<Arc<AsteriaModel>>, index: SearchIndex) -> SearchSession {
+        let model = model.into();
+        let slab = RankSlab::new(&index.functions, model.config().hidden_dim);
         SearchSession {
-            model: model.into(),
+            model,
             index,
+            slab,
             threads: 0,
         }
     }
@@ -415,30 +431,68 @@ impl SearchSession {
 
     /// Ranks the whole index against an already-encoded query. The full
     /// ranking is returned; callers cut it as they like.
+    ///
+    /// The ranking is a stable sort of the index by descending score ℱ,
+    /// NaN last. Every entry is scored (the tiled kernel, no pruning)
+    /// and the scores are sorted in full, so this costs one pass over
+    /// the index plus an `n log n` sort. [`SearchSession::rank_top_k`]
+    /// is cheaper when only the first hits matter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `encoding` does not have the model's `hidden_dim`
+    /// components.
     pub fn rank(&self, encoding: &FunctionEncoding) -> Vec<SearchHit> {
-        self.rank_threads(encoding, self.threads)
+        self.rank_threads(encoding, 0, self.threads)
     }
 
-    /// [`SearchSession::rank`] over an explicit worker count. Scoring
-    /// fans out per function in index order; the final (stable) sort
-    /// runs on the merged scores, so the ranking is identical at every
-    /// thread count.
-    fn rank_threads(&self, encoding: &FunctionEncoding, threads: usize) -> Vec<SearchHit> {
+    /// The first `top_k` hits (`0` = all) of [`SearchSession::rank`],
+    /// bit for bit: same entries, same order, same score bits.
+    ///
+    /// With `0 < top_k <` index size no full sort runs: a size-`top_k`
+    /// heap keeps the best entries. With the classification head,
+    /// callee-count ranges whose calibration factor e^(−|ΔC|) is
+    /// strictly below the current `top_k`-th best score are never
+    /// scored, since ℱ cannot exceed that factor (DESIGN.md §14).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `encoding` does not have the model's `hidden_dim`
+    /// components.
+    pub fn rank_top_k(&self, encoding: &FunctionEncoding, top_k: usize) -> Vec<SearchHit> {
+        self.rank_threads(encoding, top_k, self.threads)
+    }
+
+    /// [`SearchSession::rank_top_k`] over an explicit worker count. The
+    /// hits and their score bits are the same at every thread count.
+    fn rank_threads(
+        &self,
+        encoding: &FunctionEncoding,
+        top_k: usize,
+        threads: usize,
+    ) -> Vec<SearchHit> {
         let timer = asteria_obs::timer();
-        let scores = asteria_exec::par_map_chunked(threads, 0, &self.index.functions, |f| {
-            function_similarity(&self.model, encoding, &f.encoding)
-        });
+        let scorer = self.model.query_scorer(&encoding.vector);
+        let callees = encoding.callee_count;
+        let hits = if top_k > 0 && top_k < self.index.len() {
+            self.slab.top_k(&scorer, callees, top_k, threads)
+        } else {
+            let scores = self.slab.scores(&scorer, callees, threads);
+            let mut hits: Vec<SearchHit> = scores
+                .into_iter()
+                .enumerate()
+                .map(|(function, score)| SearchHit { function, score })
+                .collect();
+            hits.sort_by(|a, b| rank_order(a.score, b.score));
+            hits
+        };
         timer.observe_seconds("asteria_search_seconds", &[]);
-        let mut hits: Vec<SearchHit> = scores
-            .into_iter()
-            .enumerate()
-            .map(|(function, score)| SearchHit { function, score })
-            .collect();
-        hits.sort_by(|a, b| rank_order(a.score, b.score));
         hits
     }
 
-    /// Answers one query: encode, rank, truncate to `top_k`.
+    /// Answers one query: encode, then [`SearchSession::rank_top_k`]
+    /// with the query's cutoff. A cutoff costs a bounded search; `top_k
+    /// = 0` costs a full [`SearchSession::rank`].
     ///
     /// # Errors
     ///
@@ -447,15 +501,13 @@ impl SearchSession {
         self.answer(query, self.threads)
     }
 
-    /// Encode, rank over `threads` workers, truncate to `top_k`.
+    /// Encode, then rank the first `top_k` over `threads` workers.
     fn answer(&self, query: &FunctionQuery, threads: usize) -> Result<QueryOutcome, QueryError> {
         let encoding = self.encode(query)?;
-        let mut hits = self.rank_threads(&encoding, threads);
-        let total_ranked = hits.len();
-        if query.top_k > 0 {
-            hits.truncate(query.top_k);
-        }
-        Ok(QueryOutcome { hits, total_ranked })
+        Ok(QueryOutcome {
+            hits: self.rank_threads(&encoding, query.top_k, threads),
+            total_ranked: self.index.len(),
+        })
     }
 
     /// Answers a batch of queries — the serving hot path.
@@ -473,7 +525,7 @@ impl SearchSession {
         let mut batch_span = asteria_obs::span("query-batch");
         batch_span.set_items(queries.len() as u64);
         // Dedup map: answer identity → index of the first query with it.
-        let mut first_of: HashMap<(String, String, u8, usize), usize> = HashMap::new();
+        let mut first_of: HashMap<(&str, &str, u8, usize), usize> = HashMap::new();
         let mut unique: Vec<&FunctionQuery> = Vec::new();
         let mut slot_of: Vec<usize> = Vec::with_capacity(queries.len());
         for q in queries {
@@ -627,18 +679,6 @@ fn record_build_metrics(index: &SearchIndex, stats: &CacheStats) {
             &[("kind", kind.label())],
             0,
         );
-    }
-}
-
-/// Descending-score ordering that is total: NaN ranks **last** (a
-/// degenerate encoding must sink to the bottom of the ranking, not panic
-/// the sort or float to the top as `total_cmp`'s `NaN > ∞` would).
-fn rank_order(a: f64, b: f64) -> Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (false, false) => b.total_cmp(&a),
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
     }
 }
 

@@ -9,6 +9,7 @@
 //! the test with the seed that produced it, which is a one-line repro.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use asteria::compiler::{compile_program, decode_function, Arch, Binary};
 use asteria::core::{extract_binary_resilient, AsteriaModel, ModelConfig, DEFAULT_INLINE_BETA};
@@ -16,7 +17,8 @@ use asteria::corrupt::Corruptor;
 use asteria::decompiler::{decompile_function_with, DecompileLimits};
 use asteria::lang::parse;
 use asteria::vulnsearch::{
-    build_firmware_corpus, vulnerability_library, FirmwareConfig, IndexBuilder, IndexCache,
+    build_firmware_corpus, vulnerability_library, FirmwareConfig, FunctionQuery, IndexBuilder,
+    IndexCache, SearchSession,
 };
 
 /// Seeded corruptions per ISA per harness (the issue's floor is 1,000).
@@ -258,6 +260,60 @@ fn index_cache_loader_survives_corrupted_files() {
         }
     }
     assert!(rejected > 0, "no corruption was ever detected");
+}
+
+/// A well-formed ASIX entry whose vector does not have the model's
+/// `hidden_dim`. The file's digests match the model, so the loader
+/// accepts it; replayed as a warm hit, it would make every later query
+/// panic. The builder must count it as a miss and re-encode and
+/// overwrite it, so the index equals a cold build and queries succeed.
+#[test]
+fn wrong_dimension_cache_entry_is_re_encoded() {
+    let model = Arc::new(AsteriaModel::new(ModelConfig {
+        hidden_dim: 12,
+        embed_dim: 8,
+        ..Default::default()
+    }));
+    let library = vulnerability_library();
+    let firmware = build_firmware_corpus(
+        &FirmwareConfig {
+            images: 2,
+            ..Default::default()
+        },
+        &library,
+    );
+    let mut pristine = IndexCache::default();
+    let (cold, _) = IndexBuilder::new(&model).build_into(&firmware, &mut pristine);
+    let fingerprint = pristine
+        .fingerprints()
+        .filter(|&fp| !pristine.get(fp).expect("listed").functions.is_empty())
+        .min()
+        .expect("a binary with functions");
+    let mut bad = pristine.get(fingerprint).expect("listed").clone();
+    bad.functions[0].vector.push(0.5);
+    let mut tampered = pristine.clone();
+    tampered.insert(fingerprint, bad);
+    let mut bytes = Vec::new();
+    tampered.save(&mut bytes).expect("save");
+    let loaded = IndexCache::load(bytes.as_slice()).expect("a well-formed file loads");
+    assert_eq!(loaded, tampered);
+
+    for threads in [1usize, 2, 8] {
+        let mut cache = loaded.clone();
+        let (index, stats) = IndexBuilder::new(&model)
+            .threads(threads)
+            .build_into(&firmware, &mut cache);
+        assert_eq!(stats.misses, 1, "{stats} at {threads} threads");
+        assert_eq!(stats.hits, pristine.len() - 1, "{stats}");
+        assert_eq!(index, cold, "index differs from the cold build");
+        assert_eq!(cache, pristine, "the bad entry must be overwritten");
+        let session = SearchSession::new(Arc::clone(&model), index).threads(threads);
+        let outcome = session
+            .query(&FunctionQuery::for_cve(&library[0], Arch::X86))
+            .expect("query encodes");
+        assert_eq!(outcome.total_ranked, cold.len());
+        assert!(!outcome.hits.is_empty());
+    }
 }
 
 /// End-to-end: a whole corpus where some binaries are corrupted still
