@@ -3,7 +3,8 @@
 //! ranking, with the bit-identity invariant checked on every run.
 //!
 //! Writes `BENCH_offline.json` to the working directory — the seed of the
-//! perf trajectory. Flags: `--scale smoke|mid|paper`, `--threads N`
+//! perf trajectory — stamped with the git revision and the core count;
+//! the parallel speedups are `null` on one core. Flags: `--scale smoke|mid|paper`, `--threads N`
 //! (default: all cores / `ASTERIA_THREADS`), `--quiet` (no stderr).
 //!
 //! Stage seconds are read back from `asteria-obs` span records. The
@@ -56,6 +57,22 @@ fn indexes_identical(a: &SearchIndex, b: &SearchIndex) -> bool {
                 .zip(&y.encoding.vector)
                 .all(|(p, q)| p.to_bits() == q.to_bits())
     })
+}
+
+/// The checked-out revision (`git describe --always --dirty`), or `None`
+/// outside a git checkout.
+fn git_rev() -> Option<String> {
+    let out = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .output()
+        .ok()?;
+    let rev = String::from_utf8(out.stdout).ok()?;
+    (out.status.success() && !rev.trim().is_empty()).then(|| rev.trim().to_string())
+}
+
+/// A JSON value for a ratio, `null` when it means nothing.
+fn json_ratio(value: Option<f64>) -> String {
+    value.map_or_else(|| "null".to_string(), |v| format!("{v:.4}"))
 }
 
 fn main() {
@@ -153,8 +170,11 @@ fn main() {
                 .all(|(x, y)| x.function == y.function && x.score.to_bits() == y.score.to_bits())
     });
 
-    let offline_speedup = serial_offline / parallel_offline.max(1e-12);
-    let online_speedup = serial_online / parallel_online.max(1e-12);
+    // On one core a "parallel speedup" measures only scheduling overhead.
+    let parallel_speedup =
+        |serial: f64, parallel: f64| (cores > 1).then(|| serial / parallel.max(1e-12));
+    let offline_speedup = parallel_speedup(serial_offline, parallel_offline);
+    let online_speedup = parallel_speedup(serial_online, parallel_online);
 
     // Observability tax on the offline encode stage: the same parallel
     // build with the recorder recording vs hard-disabled. A smoke-scale
@@ -203,9 +223,15 @@ fn main() {
     let obs_enabled_seconds = median(enabled_samples);
     let obs_disabled_seconds = median(disabled_samples);
 
-    println!("offline: serial {serial_offline:.3}s, parallel {parallel_offline:.3}s ({offline_speedup:.2}x on {threads} threads)");
+    println!(
+        "offline: serial {serial_offline:.3}s, parallel {parallel_offline:.3}s ({}x on {threads} threads)",
+        json_ratio(offline_speedup)
+    );
     println!("cache:   cold {index_cold:.3}s ({cold_stats}), warm {index_warm:.3}s ({warm_stats}, {warm_speedup:.2}x)");
-    println!("online:  serial {serial_online:.3}s, parallel {parallel_online:.3}s ({online_speedup:.2}x)");
+    println!(
+        "online:  serial {serial_online:.3}s, parallel {parallel_online:.3}s ({}x)",
+        json_ratio(online_speedup)
+    );
     println!(
         "obs:     recording {obs_enabled_seconds:.3}s, disabled {obs_disabled_seconds:.3}s \
          ({obs_overhead_pct:+.2}% overhead, median of {obs_pairs} ABBA pairs)"
@@ -225,12 +251,14 @@ fn main() {
     );
 
     // Hand-rolled JSON (no serde in the offline workspace).
+    let git_rev = git_rev().map_or_else(|| "null".to_string(), |rev| format!("\"{rev}\""));
     let json = format!(
         "{{\n  \"scale\": \"{scale:?}\",\n  \"images\": {},\n  \"functions\": {},\n  \
-         \"indexed_functions\": {},\n  \"available_cores\": {cores},\n  \"threads\": {threads},\n  \
+         \"indexed_functions\": {},\n  \"git_rev\": {git_rev},\n  \
+         \"available_cores\": {cores},\n  \"threads\": {threads},\n  \
          \"offline_serial_seconds\": {serial_offline:.6},\n  \
          \"offline_parallel_seconds\": {parallel_offline:.6},\n  \
-         \"offline_speedup\": {offline_speedup:.4},\n  \
+         \"offline_speedup\": {},\n  \
          \"index_cold_seconds\": {index_cold:.6},\n  \
          \"index_warm_seconds\": {index_warm:.6},\n  \
          \"index_warm_speedup\": {warm_speedup:.4},\n  \
@@ -239,7 +267,7 @@ fn main() {
          \"cache_warm_misses\": {},\n  \
          \"online_serial_seconds\": {serial_online:.6},\n  \
          \"online_parallel_seconds\": {parallel_online:.6},\n  \
-         \"online_speedup\": {online_speedup:.4},\n  \
+         \"online_speedup\": {},\n  \
          \"obs_enabled_seconds\": {obs_enabled_seconds:.6},\n  \
          \"obs_disabled_seconds\": {obs_disabled_seconds:.6},\n  \
          \"obs_overhead_pct\": {obs_overhead_pct:.4},\n  \
@@ -248,9 +276,11 @@ fn main() {
         firmware.len(),
         total_functions,
         serial_session.index().len(),
+        json_ratio(offline_speedup),
         cold_stats.misses,
         warm_stats.hits,
         warm_stats.misses,
+        json_ratio(online_speedup),
     );
     std::fs::write("BENCH_offline.json", &json).expect("write BENCH_offline.json");
     asteria::obs::info!("[bench_offline] wrote BENCH_offline.json");

@@ -2,7 +2,8 @@
 //!
 //! (a) cumulative distribution of AST sizes;
 //! (b) offline-phase time per function — decompilation (A-D),
-//!     preprocessing (A-P), Tree-LSTM encoding (A-E) for Asteria; AST
+//!     preprocessing (A-P), Tree-LSTM encoding (A-E) for Asteria, both
+//!     one tree at a time and as one forest of the whole sample; AST
 //!     hashing for Diaphora (D-H); ACFG extraction (G-EX) and embedding
 //!     (G-EN) for Gemini;
 //! (c) online-phase time per pair for all three systems; Asteria both
@@ -15,7 +16,7 @@
 use std::hint::black_box;
 
 use asteria::baselines::{diaphora_similarity, extract_acfg, hash_ast, GeminiConfig, GeminiModel};
-use asteria::core::{binarize, digitalize, AsteriaModel, EncodingSlab, ModelConfig};
+use asteria::core::{binarize, digitalize, AsteriaModel, EncodingSlab, Forest, ModelConfig};
 use asteria::decompiler::decompile_function;
 use asteria::eval::{cdf_points, percentile};
 use asteria_bench::{timed, Scale};
@@ -120,6 +121,17 @@ fn main() {
             }
         }
     });
+    // The index build's form of A-E: the sample as one forest, so each
+    // distinct subtree among the sampled functions is evaluated once.
+    let (_, t_forest) = timed("A-E-forest", || {
+        for _ in 0..reps {
+            let mut forest = Forest::new();
+            for t in &trees {
+                forest.add(t);
+            }
+            black_box(model.encode_forest(&forest, 1));
+        }
+    });
     let (_, t_dhash) = timed("D-H", || {
         for _ in 0..reps {
             for f in &decompiled {
@@ -149,6 +161,10 @@ fn main() {
     println!("| A-D (Asteria decompile) | {:.3e} |", per_fn(t_decomp));
     println!("| A-P (Asteria preprocess) | {:.3e} |", per_fn(t_prep));
     println!("| A-E (Asteria encode) | {:.3e} |", per_fn(t_encode));
+    println!(
+        "| A-E (Asteria encode, forest) | {:.3e} |",
+        per_fn(t_forest)
+    );
     println!("| D-H (Diaphora hash) | {:.3e} |", per_fn(t_dhash));
     println!("| G-EX (Gemini ACFG extract) | {:.3e} |", per_fn(t_gex));
     println!("| G-EN (Gemini embed) | {:.3e} |", per_fn(t_gen));

@@ -656,7 +656,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     };
     asteria::obs::info!(
         "serve: {} responses ({} ok, {} query errors, {} malformed, {} oversized, \
-         {} overloaded, {} deadline exceeded, {} refused in shutdown)",
+         {} overloaded, {} deadline exceeded, {} refused in shutdown, {} internal)",
         stats.total(),
         stats.ok,
         stats.query_errors,
@@ -664,7 +664,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         stats.oversized,
         stats.overloaded,
         stats.deadline_exceeded,
-        stats.shutting_down
+        stats.shutting_down,
+        stats.internal
     );
     Ok(())
 }

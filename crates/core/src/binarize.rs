@@ -41,7 +41,8 @@ impl BinTree {
         self.right[n as usize]
     }
 
-    /// Maximum depth (root = 1); bounds the recursion of the encoder.
+    /// Maximum depth (root = 1): the longest chain of cells the encoder
+    /// evaluates one after another, since a node waits for both children.
     pub fn depth(&self) -> usize {
         // Iterative post-order to avoid stack overflow on long sibling
         // chains (LCRS turns wide trees into deep ones).

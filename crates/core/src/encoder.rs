@@ -1,10 +1,13 @@
 //! The Binary Tree-LSTM AST encoder (paper §III-B, equations 1–7).
 
+use std::sync::atomic::{AtomicU32, Ordering};
+
 use rand::Rng;
 
 use asteria_nn::{ColMajor, Embedding, Graph, NodeId, ParamId, ParamStore, Tensor};
 
 use crate::binarize::BinTree;
+use crate::forest::{Forest, ABSENT};
 
 /// Initialization of the (absent) child states of leaf nodes — the paper's
 /// Fig. 9 "Leaf-0 vs Leaf-1" ablation.
@@ -224,19 +227,54 @@ impl TreeLstm {
     }
 
     /// Encodes a tree and returns the root's hidden state as a plain
-    /// vector — the paper's offline embedding step, and the only
-    /// inference entry point.
+    /// vector — the paper's offline embedding step for one function.
+    ///
+    /// A one-tree [`TreeLstm::encode_forest`] evaluated on the caller's
+    /// thread, so the result is bit-identical to the root value of
+    /// [`TreeLstm::encode`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node label is outside the embedding vocabulary.
+    pub fn encode_to_vec(&self, kernel: &TreeLstmKernel, tree: &BinTree) -> Vec<f32> {
+        let mut forest = Forest::new();
+        forest.add(tree);
+        self.encode_forest(kernel, &forest, 1)
+            .pop()
+            .expect("a one-tree forest encodes one tree")
+    }
+
+    /// Encodes every tree of `forest` and returns the root hidden states
+    /// in the order the trees were added — the only inference entry
+    /// point.
     ///
     /// Runs on `kernel`, which must come from [`TreeLstm::kernel`] over
-    /// the current weights. No tape is built, and the result is
-    /// bit-identical to the root value of [`TreeLstm::encode`]. Only this
-    /// path is instrumented; the tape used by training stays bare.
-    pub fn encode_to_vec(&self, kernel: &TreeLstmKernel, tree: &BinTree) -> Vec<f32> {
+    /// the current weights. No tape is built. Each distinct subtree is
+    /// evaluated once, level by level, a level's subtrees spread over up
+    /// to `threads` workers (`0` = auto); every result is bit-identical
+    /// to the root value of [`TreeLstm::encode`] on that tree alone, at
+    /// every thread count. Only this path is instrumented; the tape used
+    /// by training stays bare.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node label is outside the embedding vocabulary.
+    pub fn encode_forest(
+        &self,
+        kernel: &TreeLstmKernel,
+        forest: &Forest,
+        threads: usize,
+    ) -> Vec<Vec<f32>> {
         debug_assert_eq!(kernel.hidden, self.hidden, "kernel of another encoder");
         let timer = asteria_obs::timer();
-        let out = kernel.encode(tree);
+        let out = kernel.encode_forest(forest, threads);
         timer.observe_seconds("asteria_encode_seconds", &[]);
-        asteria_obs::counter_add("asteria_treelstm_cells_total", &[], tree.size() as u64);
+        asteria_obs::counter_add("asteria_treelstm_cells_total", &[], forest.cells() as u64);
+        asteria_obs::counter_add(
+            "asteria_treelstm_cells_evaluated_total",
+            &[],
+            forest.classes() as u64,
+        );
         out
     }
 }
@@ -245,8 +283,55 @@ impl TreeLstm {
 /// input and output gates, and the cached state, in that order.
 const GATES: usize = 5;
 
+/// One worker's buffers for evaluating cells.
+struct CellScratch {
+    left: ChildScratch,
+    right: ChildScratch,
+    gates: Vec<f32>,
+    /// The cell's output `[h; c]`.
+    state: Vec<f32>,
+}
+
+/// What one child side of a cell reads and computes.
+struct ChildScratch {
+    /// The child's `[h; c]`, copied out of the shared buffer.
+    state: Vec<f32>,
+    /// Its `U·h` gate terms.
+    u: Vec<f32>,
+}
+
+impl CellScratch {
+    fn new(h: usize) -> CellScratch {
+        let child = || ChildScratch {
+            state: vec![0.0; 2 * h],
+            u: vec![0.0; GATES * h],
+        };
+        CellScratch {
+            left: child(),
+            right: child(),
+            gates: vec![0.0; GATES * h],
+            state: vec![0.0; 2 * h],
+        }
+    }
+}
+
+/// Copies `out.len()` floats out of `states`, starting at `at`.
+fn load(states: &[AtomicU32], at: usize, out: &mut [f32]) {
+    for (o, bits) in out.iter_mut().zip(&states[at..]) {
+        *o = f32::from_bits(bits.load(Ordering::Relaxed));
+    }
+}
+
+/// Copies `values` into `states`, starting at `at`.
+fn store(states: &[AtomicU32], at: usize, values: &[f32]) {
+    for (bits, v) in states[at..].iter().zip(values) {
+        bits.store(v.to_bits(), Ordering::Relaxed);
+    }
+}
+
 /// Inference-only form of a [`TreeLstm`]: the function of
-/// [`TreeLstm::encode`], evaluated without a tape and bit for bit equal.
+/// [`TreeLstm::encode`], evaluated without a tape and bit for bit equal,
+/// once per distinct subtree of a [`Forest`].
 ///
 /// Built once per set of weights by [`TreeLstm::kernel`], it holds
 ///
@@ -347,40 +432,71 @@ impl TreeLstmKernel {
         kernel
     }
 
-    /// Encodes a binarized AST bottom-up and returns the root's hidden
-    /// state, using one scratch buffer for the whole tree.
+    /// Evaluates every class of `forest` once, level by level, and
+    /// returns the root hidden state of each tree.
+    ///
+    /// Class states live in one shared buffer of `f32` bits. A class is
+    /// written by exactly one worker, and read only by classes of later
+    /// levels, after [`asteria_exec::par_levels`]'s barrier has made the
+    /// write visible; relaxed atomics keep that sharing safe without
+    /// ordering anything themselves.
     ///
     /// # Panics
     ///
     /// Panics if a node label is outside the embedding vocabulary.
-    fn encode(&self, tree: &BinTree) -> Vec<f32> {
-        let h = self.hidden;
-        let n = tree.size();
-        let mut scratch = vec![0.0f32; n * 2 * h + 3 * GATES * h + 2 * h];
-        let (states, rest) = scratch.split_at_mut(n * 2 * h);
-        let (left_buf, rest) = rest.split_at_mut(GATES * h);
-        let (right_buf, rest) = rest.split_at_mut(GATES * h);
-        let (gates, state) = rest.split_at_mut(GATES * h);
-        for k in tree.postorder() {
-            let label = tree.label(k) as usize;
+    fn encode_forest(&self, forest: &Forest, threads: usize) -> Vec<Vec<f32>> {
+        // Checked up front, on the caller's thread, so that no worker
+        // panics halfway through a level.
+        for label in forest.labels() {
             assert!(
-                label < self.vocab,
+                (label as usize) < self.vocab,
                 "embedding index {label} out of range {}",
                 self.vocab
             );
-            let (left, right) = (tree.left(k), tree.right(k));
-            let dst = k as usize * 2 * h..(k as usize + 1) * 2 * h;
-            if left.is_none() && right.is_none() {
-                states[dst].copy_from_slice(&self.leaf[label * 2 * h..(label + 1) * 2 * h]);
-                continue;
-            }
-            let l = self.child(left, states, &self.u_left, &self.u_left_init, left_buf);
-            let r = self.child(right, states, &self.u_right, &self.u_right_init, right_buf);
-            self.cell(label, l, r, gates, state);
-            states[dst].copy_from_slice(state);
         }
-        let root = tree.root() as usize * 2 * h;
-        states[root..root + h].to_vec()
+        let h = self.hidden;
+        let states: Vec<AtomicU32> = (0..forest.classes() * 2 * h)
+            .map(|_| AtomicU32::new(0))
+            .collect();
+        let (order, levels) = forest.levels();
+        asteria_exec::par_levels(
+            threads,
+            &levels,
+            || CellScratch::new(h),
+            |scratch, i| self.eval_class(forest, order[i], &states, scratch),
+        );
+        forest
+            .roots()
+            .iter()
+            .map(|&root| {
+                let mut out = vec![0.0; h];
+                load(&states, root as usize * 2 * h, &mut out);
+                out
+            })
+            .collect()
+    }
+
+    /// Evaluates one class from its children's stored states and stores
+    /// its `[h; c]`.
+    fn eval_class(&self, forest: &Forest, class: u32, states: &[AtomicU32], s: &mut CellScratch) {
+        let h = self.hidden;
+        let (label, left, right) = forest.node(class);
+        let label = label as usize;
+        let dst = class as usize * 2 * h;
+        if left == ABSENT && right == ABSENT {
+            store(states, dst, &self.leaf[label * 2 * h..][..2 * h]);
+            return;
+        }
+        let CellScratch {
+            left: left_buf,
+            right: right_buf,
+            gates,
+            state,
+        } = s;
+        let l = self.child(left, states, &self.u_left, &self.u_left_init, left_buf);
+        let r = self.child(right, states, &self.u_right, &self.u_right_init, right_buf);
+        self.cell(label, l, r, gates, state);
+        store(states, dst, state);
     }
 
     /// What one child side feeds its parent's cell: its `U·h` gate terms
@@ -389,21 +505,19 @@ impl TreeLstmKernel {
     /// sign of a zero.
     fn child<'a>(
         &'a self,
-        child: Option<u32>,
-        states: &'a [f32],
+        child: u32,
+        states: &[AtomicU32],
         u: &ColMajor,
         u_init: &'a [f32],
-        buf: &'a mut [f32],
+        buf: &'a mut ChildScratch,
     ) -> (&'a [f32], &'a [f32]) {
-        let h = self.hidden;
-        match child {
-            Some(c) => {
-                let (h_c, c_c) = states[c as usize * 2 * h..][..2 * h].split_at(h);
-                u.matvec_into(h_c, buf);
-                (buf, c_c)
-            }
-            None => (u_init, &self.init),
+        if child == ABSENT {
+            return (u_init, &self.init);
         }
+        load(states, child as usize * 2 * self.hidden, &mut buf.state);
+        let (h_child, c_child) = buf.state.split_at(self.hidden);
+        u.matvec_into(h_child, &mut buf.u);
+        (&buf.u, c_child)
     }
 
     /// One Tree-LSTM cell (eq. 1–7): combines the label's `W·e` terms with

@@ -9,7 +9,8 @@
 //!    label and [`binarize()`] applies the left-child right-sibling
 //!    transform;
 //! 3. **encoding** — the Binary [`TreeLstm`] (eq. 1–7) encodes the tree
-//!    bottom-up into a semantic vector;
+//!    bottom-up into a semantic vector; a [`Forest`] lets a whole index
+//!    build evaluate each distinct subtree once;
 //! 4. **similarity** — the [`SiameseHead`] (eq. 8) turns two encodings
 //!    into a similarity score;
 //! 5. **calibration** — [`calibrated_similarity`] (eq. 9–10) multiplies in
@@ -42,6 +43,7 @@
 
 pub mod binarize;
 pub mod encoder;
+pub mod forest;
 pub mod model;
 pub mod nodes;
 pub mod pipeline;
@@ -51,12 +53,14 @@ pub mod train;
 
 pub use binarize::{binarize, binarize_truncated, BinTree};
 pub use encoder::{LeafInit, TreeLstm, TreeLstmKernel};
+pub use forest::Forest;
 pub use model::{calibrated_similarity, callee_similarity, AsteriaModel, ModelConfig};
 pub use nodes::{digitalize, AstTree, NodeType};
 pub use pipeline::{
-    encode_function, extract_binary, extract_binary_resilient, extract_binary_resilient_with,
-    extract_function, extract_function_with, function_similarity, ExtractedFunction,
-    ExtractionReport, FunctionEncoding, FunctionOutcome, ResilientExtraction, DEFAULT_INLINE_BETA,
+    encode_function, encode_functions, extract_binary, extract_binary_resilient,
+    extract_binary_resilient_with, extract_function, extract_function_with, function_similarity,
+    ExtractedFunction, ExtractionReport, FunctionEncoding, FunctionOutcome, ResilientExtraction,
+    DEFAULT_INLINE_BETA,
 };
 pub use siamese::{SiameseHead, SiameseKind};
 pub use slab::{EncodingSlab, QueryScorer, SLAB_TILE};

@@ -11,6 +11,7 @@ use asteria_nn::{AdaGrad, Graph, Optimizer, ParamStore, Tensor};
 
 use crate::binarize::BinTree;
 use crate::encoder::{LeafInit, TreeLstm, TreeLstmKernel};
+use crate::forest::Forest;
 use crate::nodes::NodeType;
 use crate::siamese::{SiameseHead, SiameseKind};
 use crate::slab::QueryScorer;
@@ -121,15 +122,34 @@ impl AsteriaModel {
         self.store.num_weights()
     }
 
-    /// Encodes an AST into its semantic vector (the offline phase).
+    /// Encodes an AST into its semantic vector (the offline phase): a
+    /// one-tree [`AsteriaModel::encode_forest`] on the caller's thread.
     ///
-    /// The first call after construction or a weight update builds the
-    /// inference kernel; concurrent callers share it.
+    /// # Panics
+    ///
+    /// Panics if a node label is outside the model's vocabulary.
     pub fn encode(&self, tree: &BinTree) -> Vec<f32> {
-        let kernel = self
-            .kernel
-            .get_or_init(|| self.tree_lstm.kernel(&self.store));
-        self.tree_lstm.encode_to_vec(kernel, tree)
+        self.tree_lstm.encode_to_vec(self.kernel(), tree)
+    }
+
+    /// Encodes every tree of `forest`, each distinct subtree once, over
+    /// up to `threads` workers (`0` = auto). Returns the encodings in the
+    /// order the trees were added, each bit-identical to
+    /// [`AsteriaModel::encode`] on that tree, at every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node label is outside the model's vocabulary.
+    pub fn encode_forest(&self, forest: &Forest, threads: usize) -> Vec<Vec<f32>> {
+        self.tree_lstm.encode_forest(self.kernel(), forest, threads)
+    }
+
+    /// The inference kernel for the current weights. The first call after
+    /// construction or a weight update builds it; concurrent callers
+    /// share it.
+    fn kernel(&self) -> &TreeLstmKernel {
+        self.kernel
+            .get_or_init(|| self.tree_lstm.kernel(&self.store))
     }
 
     /// Full-pipeline similarity 𝓜(T₁, T₂) of two ASTs: both encodings,

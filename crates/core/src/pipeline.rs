@@ -9,6 +9,7 @@ use asteria_decompiler::{
 };
 
 use crate::binarize::{binarize, BinTree};
+use crate::forest::Forest;
 use crate::model::{calibrated_similarity, AsteriaModel};
 use crate::nodes::digitalize;
 
@@ -259,15 +260,50 @@ pub struct FunctionEncoding {
     pub callee_count: usize,
 }
 
-/// Encodes an extracted function with a trained model.
+/// Encodes an extracted function with a trained model, on the caller's
+/// thread.
 pub fn encode_function(model: &AsteriaModel, f: &ExtractedFunction) -> FunctionEncoding {
-    let enc = FunctionEncoding {
-        name: f.name.clone(),
-        vector: model.encode(&f.tree),
-        callee_count: f.callee_count,
-    };
-    asteria_obs::counter_add("asteria_functions_encoded_total", &[], 1);
-    enc
+    encode_functions(model, &[f], 1)
+        .pop()
+        .expect("one function in, one encoding out")
+}
+
+/// Encodes many extracted functions as one [`Forest`]: each distinct
+/// subtree among them is evaluated once, a level's subtrees spread over
+/// up to `threads` workers (`0` = auto). The encodings come back in
+/// input order, each bit-identical to [`encode_function`]'s, at every
+/// thread count.
+///
+/// The trees are interned serially in input order, so the forest, and
+/// the work it counts, is the same at every thread count. An empty input
+/// encodes nothing and never builds the model's inference kernel.
+pub fn encode_functions(
+    model: &AsteriaModel,
+    functions: &[&ExtractedFunction],
+    threads: usize,
+) -> Vec<FunctionEncoding> {
+    if functions.is_empty() {
+        return Vec::new();
+    }
+    let mut forest = Forest::new();
+    for f in functions {
+        forest.add(&f.tree);
+    }
+    let vectors = model.encode_forest(&forest, threads);
+    asteria_obs::counter_add(
+        "asteria_functions_encoded_total",
+        &[],
+        functions.len() as u64,
+    );
+    functions
+        .iter()
+        .zip(vectors)
+        .map(|(f, vector)| FunctionEncoding {
+            name: f.name.clone(),
+            vector,
+            callee_count: f.callee_count,
+        })
+        .collect()
 }
 
 /// The final calibrated similarity ℱ(F₁, F₂) between two cached encodings

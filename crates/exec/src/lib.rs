@@ -16,6 +16,10 @@
 //!   scheduling varies).
 //! - [`par_map_threads`] — the same map claiming one item at a time, for
 //!   expensive per-item closures (encoding a binary, answering a query).
+//! - [`par_levels`] — a level-synchronous parallel loop for work whose
+//!   items depend on earlier levels (a tree evaluated bottom-up): one
+//!   team of workers per call, a barrier between levels, and narrow
+//!   levels run on the calling thread alone.
 //! - [`thread_count`] / [`resolve_threads`] — thread-count policy:
 //!   `ASTERIA_THREADS` (env) overrides, else
 //!   [`std::thread::available_parallelism`].
@@ -30,7 +34,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Environment variable overriding the worker-thread count (`0` or unset
@@ -142,6 +147,151 @@ where
     })
 }
 
+/// Items a [`par_levels`] worker claims at a time.
+const LEVEL_CHUNK: usize = 2;
+
+/// Levels with fewer items than this run on the calling thread alone: a
+/// barrier costs about as much as a few microsecond-sized items.
+const MIN_PARALLEL_LEVEL: usize = 4 * LEVEL_CHUNK;
+
+/// Spins a barrier waiter makes before it starts yielding its core.
+const BARRIER_SPINS: u32 = 1 << 10;
+
+/// Runs `f(state, i)` for every `i` of every range in `levels`, level
+/// after level: no item starts before every item of the earlier levels
+/// has finished, and its writes are visible to it.
+///
+/// Within a level the items are independent. Up to `threads` workers
+/// (`0` = auto) claim them in small chunks; a level of fewer than eight
+/// items runs on the calling thread alone, and
+/// consecutive such levels skip the barrier between them. Each worker
+/// builds its own `state` once with `init`. One call spawns its workers
+/// once, whatever the number of levels, and waits on a spinning barrier,
+/// so a level costs microseconds, not a thread spawn.
+///
+/// `f` must not depend on which worker runs an item for its results to
+/// be the same at every thread count. A panic in `f` releases the other
+/// workers and propagates to the caller once they have joined.
+pub fn par_levels<S, I, F>(threads: usize, levels: &[Range<usize>], init: I, f: F)
+where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) + Sync,
+{
+    let parallel = |level: &Range<usize>| level.len() >= MIN_PARALLEL_LEVEL;
+    let widest = levels.iter().map(Range::len).max().unwrap_or(0);
+    let threads = resolve_threads(threads).min(widest.div_ceil(LEVEL_CHUNK));
+    if threads <= 1 || !levels.iter().any(parallel) {
+        let mut state = init();
+        for i in levels.iter().flat_map(Range::clone) {
+            f(&mut state, i);
+        }
+        return;
+    }
+    let barrier = SpinBarrier::new(threads);
+    let cursors: Vec<AtomicUsize> = levels.iter().map(|l| AtomicUsize::new(l.start)).collect();
+    let work = |worker: usize| {
+        let _poison = PoisonOnPanic(&barrier);
+        let mut state = init();
+        for (l, (level, cursor)) in levels.iter().zip(&cursors).enumerate() {
+            if parallel(level) {
+                loop {
+                    let start = cursor.fetch_add(LEVEL_CHUNK, Ordering::Relaxed);
+                    if start >= level.end {
+                        break;
+                    }
+                    for i in start..(start + LEVEL_CHUNK).min(level.end) {
+                        f(&mut state, i);
+                    }
+                }
+            } else if worker == 0 {
+                for i in level.clone() {
+                    f(&mut state, i);
+                }
+            }
+            // A narrow level followed by another runs on worker 0 both
+            // times, which orders them without a barrier.
+            let next_parallel = levels.get(l + 1).is_some_and(parallel);
+            let last = l + 1 == levels.len();
+            if !last && (parallel(level) || next_parallel) && !barrier.wait() {
+                return;
+            }
+        }
+    };
+    let parent = asteria_obs::current_path();
+    std::thread::scope(|s| {
+        for worker in 1..threads {
+            let work = &work;
+            let parent = parent.as_deref();
+            s.spawn(move || {
+                let _obs = asteria_obs::worker_scope(parent);
+                work(worker)
+            });
+        }
+        work(0);
+    });
+}
+
+/// A reusable barrier for the short, frequent waits of [`par_levels`]:
+/// waiters spin, then yield, instead of sleeping on a condition variable.
+struct SpinBarrier {
+    threads: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    /// Set when a worker panics, so the others stop waiting for it.
+    poisoned: AtomicBool,
+}
+
+impl SpinBarrier {
+    fn new(threads: usize) -> SpinBarrier {
+        SpinBarrier {
+            threads,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    /// Waits until all `threads` workers have arrived; `false` when a
+    /// worker panicked instead.
+    ///
+    /// Every write a worker made before arriving is visible to every
+    /// worker after this returns: the arrivals form one release sequence
+    /// on `arrived`, the last arriver acquires it and releases
+    /// `generation`, and the waiters acquire `generation`.
+    fn wait(&self) -> bool {
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.threads {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.fetch_add(1, Ordering::Release);
+            return !self.poisoned.load(Ordering::Acquire);
+        }
+        let mut spins = 0;
+        while self.generation.load(Ordering::Acquire) == generation {
+            if self.poisoned.load(Ordering::Acquire) {
+                return false;
+            }
+            if spins < BARRIER_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        !self.poisoned.load(Ordering::Acquire)
+    }
+}
+
+/// Poisons the barrier if its worker unwinds.
+struct PoisonOnPanic<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Release);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +342,98 @@ mod tests {
         assert_eq!(resolve_threads(3), 3);
         assert!(resolve_threads(0) >= 1);
         assert!(thread_count() >= 1);
+    }
+
+    /// Levels of the given widths over consecutive item ranges.
+    fn levels_of(widths: &[usize]) -> Vec<Range<usize>> {
+        let mut start = 0;
+        widths
+            .iter()
+            .map(|&w| {
+                start += w;
+                start - w..start
+            })
+            .collect()
+    }
+
+    #[test]
+    fn par_levels_runs_every_item_once_after_its_level_deps() {
+        // Item i of a level reads items of the level before it, so a
+        // missing barrier or a double run shows as a wrong value.
+        let widths = [1, 40, 3, 2, 64, 7, 1, 33, 0, 9];
+        let levels = levels_of(&widths);
+        let n: usize = widths.iter().sum();
+        let reference = {
+            let mut v = vec![0u64; n];
+            for (l, level) in levels.iter().enumerate() {
+                for i in level.clone() {
+                    let below = levels[..l]
+                        .last()
+                        .map_or(1, |p| p.clone().map(|j| v[j]).fold(1u64, u64::wrapping_add));
+                    v[i] = below.wrapping_mul(i as u64 + 3);
+                }
+            }
+            v
+        };
+        for threads in [1, 2, 3, 8] {
+            let cells: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let level_of: Vec<usize> = levels
+                .iter()
+                .enumerate()
+                .flat_map(|(l, r)| r.clone().map(move |_| l))
+                .collect();
+            par_levels(
+                threads,
+                &levels,
+                || (),
+                |_, i| {
+                    let l = level_of[i];
+                    let below = levels[..l].last().map_or(1, |p| {
+                        p.clone()
+                            .map(|j| cells[j].load(Ordering::Relaxed) as u64)
+                            .fold(1u64, u64::wrapping_add)
+                    });
+                    cells[i].store(below.wrapping_mul(i as u64 + 3) as usize, Ordering::Relaxed);
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            let got: Vec<u64> = cells
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed) as u64)
+                .collect();
+            assert_eq!(got, reference, "{threads} threads");
+            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        }
+    }
+
+    #[test]
+    fn par_levels_handles_no_levels_and_empty_levels() {
+        par_levels(4, &[], || (), |_, _| unreachable!("no items"));
+        par_levels(
+            4,
+            &levels_of(&[0, 0]),
+            || (),
+            |_, _| unreachable!("no items"),
+        );
+    }
+
+    #[test]
+    fn par_levels_propagates_a_panic_without_hanging() {
+        let levels = levels_of(&[32, 32, 32]);
+        let result = std::panic::catch_unwind(|| {
+            par_levels(
+                2,
+                &levels,
+                || (),
+                |_, i| {
+                    if i == 40 {
+                        panic!("item 40 fails");
+                    }
+                },
+            )
+        });
+        assert!(result.is_err());
     }
 
     #[test]

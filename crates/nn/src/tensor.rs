@@ -373,14 +373,33 @@ impl ColMajor {
             self.data.len(),
             "matvec dimension mismatch"
         );
-        out.fill(0.0);
+        // Each tile of rows accumulates in a local array, which stays in
+        // registers across all columns; the remainder rows accumulate in
+        // `out` directly. Either way a row starts from `+0.0` and adds its
+        // terms in ascending column order.
+        let tiled = self.rows - self.rows % MATVEC_TILE;
+        for (t, out_tile) in out[..tiled].chunks_exact_mut(MATVEC_TILE).enumerate() {
+            let mut acc = [0.0f32; MATVEC_TILE];
+            for (col, &x_c) in self.data.chunks_exact(self.rows).zip(x) {
+                let w = &col[t * MATVEC_TILE..][..MATVEC_TILE];
+                for (a, &w) in acc.iter_mut().zip(w) {
+                    *a += w * x_c;
+                }
+            }
+            out_tile.copy_from_slice(&acc);
+        }
+        let rest = &mut out[tiled..];
+        rest.fill(0.0);
         for (col, &x_c) in self.data.chunks_exact(self.rows).zip(x) {
-            for (o, &w) in out.iter_mut().zip(col) {
+            for (o, &w) in rest.iter_mut().zip(&col[tiled..]) {
                 *o += w * x_c;
             }
         }
     }
 }
+
+/// Output rows [`ColMajor::matvec_into`] accumulates together.
+const MATVEC_TILE: usize = 16;
 
 impl Index<(usize, usize)> for Tensor {
     type Output = f32;
@@ -467,6 +486,77 @@ mod tests {
                 .collect();
             let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want);
+        }
+    }
+
+    /// `m.matvec_into(x)` as bits, checked against `Tensor::matvec` on
+    /// the same row-major matrix.
+    fn assert_col_major_matches(t: &Tensor, x: &[f32]) {
+        let m = ColMajor::stack(&[t]);
+        let mut out = vec![f32::NAN; t.rows];
+        m.matvec_into(x, &mut out);
+        let want: Vec<u32> = t
+            .matvec(&Tensor::column(x))
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{}x{} matrix", t.rows, t.cols);
+    }
+
+    #[test]
+    fn col_major_matvec_is_exact_around_the_row_tile() {
+        // Row counts below, at, between and past whole tiles: the tiled
+        // rows and the remainder rows must both keep `Tensor::matvec`'s
+        // summation order.
+        let mut rng = StdRng::seed_from_u64(15);
+        for rows in [1, 15, 16, 17, 31, 32, 33, 160] {
+            for cols in [1, 3, 32] {
+                let t = Tensor::uniform(rows, cols, 1.0, &mut rng);
+                let x = Tensor::uniform(cols, 1, 1.0, &mut rng);
+                assert_col_major_matches(&t, x.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn col_major_matvec_keeps_signed_zeros() {
+        // `-0.0 · x` terms: a row whose every term is `-0.0` sums to
+        // `+0.0` only because it starts from `+0.0`.
+        for rows in [15, 16, 17, 40] {
+            let mut t = Tensor::zeros(rows, 3);
+            for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+                *v = if i % 2 == 0 { -0.0 } else { 0.0 };
+            }
+            for x in [[1.0, -1.0, 0.5], [-0.0, -0.0, -0.0], [0.0, 1e30, -1e30]] {
+                assert_col_major_matches(&t, &x);
+            }
+        }
+    }
+
+    #[test]
+    fn col_major_matvec_propagates_nan_and_infinity() {
+        for rows in [15, 16, 33] {
+            let mut rng = StdRng::seed_from_u64(rows as u64);
+            let mut t = Tensor::uniform(rows, 4, 1.0, &mut rng);
+            t.as_mut_slice()[5] = f32::NAN;
+            t.as_mut_slice()[4 * (rows - 1)] = f32::INFINITY;
+            for x in [[1.0, 2.0, 3.0, 4.0], [f32::NAN, 0.0, 0.0, 0.0], [0.0; 4]] {
+                let m = ColMajor::stack(&[&t]);
+                let mut out = vec![0.0; rows];
+                m.matvec_into(&x, &mut out);
+                let want = t.matvec(&Tensor::column(&x));
+                for (r, (&got, &want)) in out.iter().zip(want.as_slice()).enumerate() {
+                    // NaN payloads are unspecified; NaN-ness and every
+                    // other bit pattern must match.
+                    if want.is_nan() {
+                        assert!(got.is_nan(), "row {r} of {rows}");
+                    } else {
+                        assert_eq!(got.to_bits(), want.to_bits(), "row {r} of {rows}");
+                    }
+                }
+            }
         }
     }
 

@@ -67,9 +67,10 @@ pub mod metrics;
 pub mod sink;
 pub mod span;
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 pub use metrics::{Histogram, MetricKey, MetricsSnapshot, TIME_BUCKETS_SECONDS};
@@ -186,11 +187,22 @@ pub struct Event {
 
 /// The global recorder: per-thread span buffers merged on render, typed
 /// metrics, and the event log. All locks recover from poisoning.
+///
+/// Each recording thread adds its counters and histograms to a store of
+/// its own (a shard), so parallel workers never contend for one lock or
+/// bounce its cache line between cores. Readers merge the shards of live
+/// threads into the collector's own store; a thread's shard is folded
+/// into that store when the thread exits. Gauges, whose last write wins,
+/// are set in the collector's store directly.
 #[derive(Debug)]
 pub struct Collector {
     epoch: Instant,
     pub(crate) spans: Mutex<Vec<SpanRecord>>,
+    /// Gauges, and the counters and histograms of exited threads.
     pub(crate) metrics: Mutex<metrics::Metrics>,
+    /// The live threads' shards. Lock order: this list, then a shard,
+    /// then `metrics`; a recording thread takes only its own shard.
+    shards: Mutex<Vec<Arc<Mutex<metrics::Metrics>>>>,
     events: Mutex<Vec<Event>>,
 }
 
@@ -200,8 +212,37 @@ impl Collector {
             epoch: Instant::now(),
             spans: Mutex::new(Vec::new()),
             metrics: Mutex::new(metrics::Metrics::default()),
+            shards: Mutex::new(Vec::new()),
             events: Mutex::new(Vec::new()),
         }
+    }
+
+    /// A new, registered shard for the calling thread.
+    fn register_shard(&self) -> Shard {
+        let shard = Arc::new(Mutex::new(metrics::Metrics::default()));
+        relock(self.shards.lock()).push(Arc::clone(&shard));
+        Shard(shard)
+    }
+
+    /// Unregisters an exiting thread's shard and folds it into the
+    /// collector's store, in one step under the list lock, so a reader
+    /// sees its values exactly once.
+    fn retire_shard(&self, shard: &Arc<Mutex<metrics::Metrics>>) {
+        let mut shards = relock(self.shards.lock());
+        shards.retain(|s| !Arc::ptr_eq(s, shard));
+        let values = std::mem::take(&mut *relock(shard.lock()));
+        relock(self.metrics.lock()).absorb(values);
+    }
+
+    /// Every metric recorded so far: the collector's store plus every
+    /// live shard.
+    pub(crate) fn merged_metrics(&self) -> metrics::Metrics {
+        let shards = relock(self.shards.lock());
+        let mut merged = relock(self.metrics.lock()).clone();
+        for shard in shards.iter() {
+            merged.absorb(relock(shard.lock()).clone());
+        }
+        merged
     }
 
     /// Microseconds of monotonic time since the collector was installed.
@@ -222,12 +263,16 @@ impl Collector {
         span::flush_current_thread();
         relock(self.spans.lock()).clear();
         relock(self.events.lock()).clear();
+        let shards = relock(self.shards.lock());
         *relock(self.metrics.lock()) = metrics::Metrics::default();
+        for shard in shards.iter() {
+            *relock(shard.lock()) = metrics::Metrics::default();
+        }
     }
 
     /// A deterministic snapshot of all counters, gauges, and histograms.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        relock(self.metrics.lock()).snapshot()
+        self.merged_metrics().snapshot()
     }
 
     /// All finished spans, merged across threads in deterministic order
@@ -304,12 +349,45 @@ macro_rules! warn {
     ($($t:tt)*) => { $crate::emit($crate::Level::Warn, format_args!($($t)*)) };
 }
 
+/// A thread's metric shard; the thread's exit folds it into the
+/// collector.
+struct Shard(Arc<Mutex<metrics::Metrics>>);
+
+impl Drop for Shard {
+    fn drop(&mut self) {
+        if let Some(c) = COLLECTOR.get() {
+            c.retire_shard(&self.0);
+        }
+    }
+}
+
+thread_local! {
+    static SHARD: RefCell<Option<Shard>> = const { RefCell::new(None) };
+}
+
+/// Runs `f` on the calling thread's shard, registering one on first use.
+/// A thread whose shard is already gone (it is exiting) records into the
+/// collector's store instead.
+fn record(c: &Collector, f: impl FnOnce(&mut metrics::Metrics)) {
+    let mut f = Some(f);
+    let _ = SHARD.try_with(|shard| {
+        let mut shard = shard.borrow_mut();
+        let shard = shard.get_or_insert_with(|| c.register_shard());
+        if let Some(f) = f.take() {
+            f(&mut relock(shard.0.lock()));
+        }
+    });
+    if let Some(f) = f {
+        f(&mut relock(c.metrics.lock()));
+    }
+}
+
 /// Adds `delta` to a counter (creating it at zero first). A zero delta
 /// registers the series so it appears in the exposition even when it
 /// never fires.
 pub fn counter_add(name: &str, labels: &[(&str, &str)], delta: u64) {
     if let Some(c) = collector() {
-        relock(c.metrics.lock()).counter_add(name, labels, delta);
+        record(c, |m| m.counter_add(name, labels, delta));
     }
 }
 
@@ -331,7 +409,7 @@ pub fn observe_seconds(name: &str, labels: &[(&str, &str)], seconds: f64) {
 /// boundaries are fixed by the first observation of a series.
 pub fn observe_with_buckets(name: &str, labels: &[(&str, &str)], value: f64, bounds: &[f64]) {
     if let Some(c) = collector() {
-        relock(c.metrics.lock()).observe(name, labels, value, bounds);
+        record(c, |m| m.observe(name, labels, value, bounds));
     }
 }
 
@@ -432,6 +510,32 @@ mod tests {
         assert_eq!(snap.counters["empty_total"], 0);
         assert_eq!(snap.gauges["loss"], 0.25);
         assert_eq!(snap.histograms["lat_seconds"].count, 1);
+
+        // Other threads record into shards of their own: a live thread's
+        // values are visible, an exited thread's values stay, and a reset
+        // clears both.
+        let (recorded_tx, recorded_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let live = std::thread::spawn(move || {
+            counter_add("hits_total", &[("kind", "warm")], 10);
+            observe_seconds("lat_seconds", &[], 0.5);
+            recorded_tx.send(()).expect("the test waits");
+            exit_rx.recv().expect("the test releases the thread");
+        });
+        recorded_rx.recv().expect("the thread recorded");
+        let snap = c.snapshot();
+        assert_eq!(snap.counters["hits_total{kind=\"warm\"}"], 15);
+        assert_eq!(snap.histograms["lat_seconds"].count, 2);
+        exit_tx.send(()).expect("the thread waits");
+        live.join().expect("the thread exits cleanly");
+        let snap = c.snapshot();
+        assert_eq!(snap.counters["hits_total{kind=\"warm\"}"], 15);
+        assert_eq!(snap.histograms["lat_seconds"].sum, 0.503);
+        c.reset();
+        assert!(c.snapshot().counters.is_empty());
+        counter_add("hits_total", &[("kind", "warm")], 5);
+        observe_seconds("lat_seconds", &[], 0.003);
+        assert_eq!(c.snapshot().counters["hits_total{kind=\"warm\"}"], 5);
 
         // Spans nest via the thread-local stack.
         {

@@ -94,7 +94,7 @@ fn series_hash(name: &str, labels: &[(&str, &str)]) -> u64 {
 /// memory: it hashes the borrowed `(name, labels)`, binary-searches a
 /// compact hash index and verifies the one candidate key. Only a new
 /// series allocates. Iteration is in key order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct SeriesMap<V> {
     /// `(hash, slot)` pairs sorted by hash.
     index: Vec<(u64, usize)>,
@@ -150,10 +150,25 @@ impl<V> SeriesMap<V> {
     pub(crate) fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
+
+    /// Folds every series of `other` into this map with `merge`.
+    fn absorb(&mut self, other: SeriesMap<V>, merge: impl Fn(&mut V, V))
+    where
+        V: Default,
+    {
+        for (key, value) in other.keys.into_iter().zip(other.values) {
+            let labels: Vec<(&str, &str)> = key
+                .labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            merge(self.series(&key.name, &labels, V::default), value);
+        }
+    }
 }
 
 /// A histogram with fixed bucket boundaries (plus an implicit `+Inf`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Histogram {
     /// Ascending finite bucket upper bounds.
     pub bounds: Vec<f64>,
@@ -212,10 +227,25 @@ impl Histogram {
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
+
+    /// Adds `other`'s observations, which share this histogram's bounds
+    /// (a series' bounds are fixed by its first observation). An empty
+    /// histogram takes `other`'s bounds.
+    fn absorb(&mut self, other: Histogram) {
+        if self.counts.is_empty() {
+            *self = other;
+            return;
+        }
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
+        }
+        self.sum += other.sum;
+        self.count += other.count;
+    }
 }
 
-/// The live metric store behind the collector's lock.
-#[derive(Debug, Default)]
+/// A metric store: the collector's own, or one thread's shard of it.
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Metrics {
     pub(crate) counters: SeriesMap<u64>,
     pub(crate) gauges: SeriesMap<f64>,
@@ -241,6 +271,14 @@ impl Metrics {
         self.histograms
             .series(name, labels, || Histogram::new(bounds))
             .observe(value);
+    }
+
+    /// Folds `other` into this store: counters and histograms add up,
+    /// gauges take `other`'s value.
+    pub(crate) fn absorb(&mut self, other: Metrics) {
+        self.counters.absorb(other.counters, |a, b| *a += b);
+        self.gauges.absorb(other.gauges, |a, b| *a = b);
+        self.histograms.absorb(other.histograms, Histogram::absorb);
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
@@ -353,6 +391,26 @@ mod tests {
         let counts: Vec<u64> = m.counters.iter().map(|(_, v)| *v).collect();
         assert_eq!(counts, [1, 1, 1, 2, 1], "both label orders hit one series");
         assert!(m.gauges.is_empty());
+    }
+
+    #[test]
+    fn absorbing_a_store_adds_counters_and_histograms() {
+        let mut a = Metrics::default();
+        a.counter_add("c", &[("k", "v")], 2);
+        a.observe("h", &[], 0.5, &[1.0]);
+        a.gauge_set("g", &[], 1.0);
+        let mut b = Metrics::default();
+        b.counter_add("c", &[("k", "v")], 3);
+        b.counter_add("d", &[], 1);
+        b.observe("h", &[], 2.0, &[1.0]);
+        b.gauge_set("g", &[], 2.0);
+        a.absorb(b);
+        let snap = a.snapshot();
+        assert_eq!(snap.counters["c{k=\"v\"}"], 5);
+        assert_eq!(snap.counters["d"], 1);
+        assert_eq!(snap.histograms["h"].counts, vec![1, 1]);
+        assert_eq!(snap.histograms["h"].sum, 2.5);
+        assert_eq!(snap.gauges["g"], 2.0);
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn prom_f64(v: f64) -> String {
 /// Prometheus text exposition: all counters, gauges, and histograms,
 /// plus per-path span duration aggregates.
 pub(crate) fn render_prometheus(c: &Collector) -> String {
-    let m = crate::relock(c.metrics.lock());
+    let m = c.merged_metrics();
     let mut out = String::new();
 
     // Group series by sanitized name so each name gets one # TYPE line.
@@ -276,7 +276,7 @@ pub(crate) fn render_summary(c: &Collector) -> String {
         }
     }
 
-    let m = crate::relock(c.metrics.lock());
+    let m = c.merged_metrics();
     if !m.counters.is_empty() {
         out.push_str("counters:\n");
         for (k, v) in m.counters.iter() {

@@ -26,6 +26,9 @@
 //!   identical in-flight queries — the hot-query win).
 //! - **Backpressure**: the queue is bounded; a full queue yields an
 //!   immediate typed `overloaded` error instead of unbounded growth.
+//! - **Panic isolation**: a panic while a batch is answered fails that
+//!   batch alone, with a typed `internal` error per request; the batcher
+//!   keeps serving.
 //! - **Deadlines**: each request may carry `deadline_ms`; requests whose
 //!   deadline passed while queued get `deadline_exceeded` instead of
 //!   burning encode time.
@@ -46,6 +49,7 @@ pub mod signal;
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -115,6 +119,9 @@ pub struct ServeStats {
     pub deadline_exceeded: u64,
     /// Requests rejected because the server was draining.
     pub shutting_down: u64,
+    /// Requests answered with a typed `internal` error because their
+    /// batch panicked.
+    pub internal: u64,
 }
 
 impl ServeStats {
@@ -127,6 +134,7 @@ impl ServeStats {
             + self.overloaded
             + self.deadline_exceeded
             + self.shutting_down
+            + self.internal
     }
 }
 
@@ -141,6 +149,7 @@ enum Outcome {
     Overloaded,
     DeadlineExceeded,
     ShuttingDown,
+    Internal,
 }
 
 impl Outcome {
@@ -154,6 +163,7 @@ impl Outcome {
             Outcome::Overloaded => "overloaded",
             Outcome::DeadlineExceeded => "deadline_exceeded",
             Outcome::ShuttingDown => "shutting_down",
+            Outcome::Internal => "internal",
         }
     }
 }
@@ -174,7 +184,7 @@ struct Shared {
     queue: BoundedQueue<Pending>,
     stopping: AtomicBool,
     /// Responses sent, indexed by [`Outcome`].
-    tallies: [AtomicU64; 7],
+    tallies: [AtomicU64; 8],
 }
 
 impl Shared {
@@ -209,6 +219,7 @@ impl Shared {
             overloaded: n(Outcome::Overloaded),
             deadline_exceeded: n(Outcome::DeadlineExceeded),
             shutting_down: n(Outcome::ShuttingDown),
+            internal: n(Outcome::Internal),
         }
     }
 
@@ -476,17 +487,32 @@ fn run_batcher(shared: &Shared) {
             );
         }
         let queries: Vec<FunctionQuery> = live.iter().map(|p| p.query.clone()).collect();
-        let answers = shared.session.query_batch(&queries);
-        for (p, answer) in live.into_iter().zip(answers) {
-            let (outcome, response) = match answer {
-                Ok(result) => (
+        // A panic answering the batch fails this batch alone: the batcher
+        // is the only one, and every later request would hang without it.
+        // The session holds no state a panic can leave half-updated.
+        let answers =
+            panic::catch_unwind(AssertUnwindSafe(|| shared.session.query_batch(&queries)));
+        if answers.is_err() && asteria_obs::enabled() {
+            asteria_obs::counter_add("asteria_serve_batch_panics_total", &[], 1);
+        }
+        for (i, p) in live.into_iter().enumerate() {
+            let (outcome, response) = match answers.as_ref().map(|a| &a[i]) {
+                Ok(Ok(result)) => (
                     Outcome::Ok,
                     proto::ok_response(
                         &p.id,
-                        proto::render_outcome(&result, shared.session.index()),
+                        proto::render_outcome(result, shared.session.index()),
                     ),
                 ),
-                Err(e) => (Outcome::Query, proto::query_error_response(&p.id, &e)),
+                Ok(Err(e)) => (Outcome::Query, proto::query_error_response(&p.id, e)),
+                Err(_) => (
+                    Outcome::Internal,
+                    proto::error_response(
+                        &p.id,
+                        ErrorKind::Internal,
+                        "internal error while answering the batch",
+                    ),
+                ),
             };
             shared.record(outcome);
             let _ = p.reply.send(response);

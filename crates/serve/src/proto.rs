@@ -63,6 +63,9 @@ pub enum ErrorKind {
     Query,
     /// The server is draining and no longer accepts new requests.
     ShuttingDown,
+    /// Answering failed inside the server (a panic while the request's
+    /// batch ran); the server itself keeps serving.
+    Internal,
 }
 
 impl ErrorKind {
@@ -75,6 +78,7 @@ impl ErrorKind {
             ErrorKind::DeadlineExceeded => "deadline_exceeded",
             ErrorKind::Query => "query",
             ErrorKind::ShuttingDown => "shutting_down",
+            ErrorKind::Internal => "internal",
         }
     }
 }

@@ -17,7 +17,6 @@
 //! bit-identical at every thread count, and batched queries are
 //! bit-identical to one-at-a-time queries.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -25,7 +24,8 @@ use std::sync::Arc;
 
 use asteria_compiler::{compile_program, Arch};
 use asteria_core::{
-    encode_function, extract_binary_resilient, extract_function, AsteriaModel, FunctionEncoding,
+    encode_function, encode_functions, extract_binary_resilient, extract_function, AsteriaModel,
+    ExtractedFunction, ExtractionReport, FunctionEncoding, ResilientExtraction,
     DEFAULT_INLINE_BETA,
 };
 use asteria_decompiler::{BudgetKind, DecompileLimits};
@@ -179,7 +179,6 @@ impl<'m> IndexBuilder<'m> {
     ) -> (SearchIndex, CacheStats) {
         let mut build_span = asteria_obs::span("index-build");
         let model_digest = self.model.weights_digest();
-        let hidden = self.model.config().hidden_dim;
         let params_digest =
             extraction_params_digest(DEFAULT_INLINE_BETA, &DecompileLimits::default());
         let mut stats = CacheStats::default();
@@ -200,81 +199,144 @@ impl<'m> IndexBuilder<'m> {
             .flat_map(|(ii, img)| (0..img.binaries.len()).map(move |bi| (ii, bi, img)))
             .collect();
         build_span.set_items(units.len() as u64);
-        let cache_ref = &*cache;
-        let per_binary = asteria_exec::par_map_threads(self.threads, &units, |&(ii, bi, img)| {
-            let mut bin_span = asteria_obs::span("encode-binary");
-            let bin_timer = asteria_obs::timer();
-            let binary = &img.binaries[bi];
-            let fingerprint = fingerprint_binary(binary, params_digest, model_digest);
-            let attach_truth = |name: &str| {
-                img.planted
-                    .iter()
-                    .find(|p| p.binary_index == bi && p.display_name == name)
-                    .map(|p| (p.cve_index, p.vulnerable))
-            };
-            // Warm: replay the cached encodings and report, skipping
-            // extraction and all Tree-LSTM encoding. Cold: the full
-            // resilient extraction + encoding pipeline. An entry holding a
-            // vector of the wrong size (the digests check the model, not
-            // the entry) is a miss, re-encoded and overwritten.
-            let cached = cache_ref
-                .get(fingerprint)
-                .filter(|c| c.functions.iter().all(|f| f.vector.len() == hidden));
-            let (entry, mode) = match cached {
-                Some(cached) => (Cow::Borrowed(cached), "warm"),
-                None => {
-                    let extraction = extract_binary_resilient(binary, DEFAULT_INLINE_BETA);
-                    let functions = extraction
-                        .successes()
-                        .map(|f| encode_function(self.model, f))
-                        .collect();
-                    let entry = CachedBinary {
-                        report: extraction.report,
-                        functions,
-                    };
-                    (Cow::Owned(entry), "cold")
-                }
-            };
-            let functions: Vec<IndexedFunction> = entry
-                .functions
-                .iter()
-                .map(|encoding| IndexedFunction {
-                    image: ii,
-                    binary: bi,
-                    name: encoding.name.clone(),
-                    encoding: encoding.clone(),
-                    ground_truth: attach_truth(&encoding.name),
-                })
-                .collect();
-            bin_span.set_items(functions.len() as u64);
-            bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", mode)]);
-            let report = entry.report;
-            let new_entry = match entry {
-                Cow::Owned(entry) => Some(entry),
-                Cow::Borrowed(_) => None,
-            };
-            (functions, report, fingerprint, new_entry)
-        });
-
         let mut index = SearchIndex::default();
-        let mut live = std::collections::HashSet::with_capacity(per_binary.len());
-        for (functions, report, fingerprint, new_entry) in per_binary {
-            index.extraction.absorb(&report);
-            index.functions.extend(functions);
-            live.insert(fingerprint);
-            match new_entry {
-                Some(entry) => {
-                    stats.misses += 1;
-                    cache.insert(fingerprint, entry);
-                }
-                None => stats.hits += 1,
+        let mut live = std::collections::HashSet::with_capacity(units.len());
+        // Every binary is looked up in the cache as it was before the
+        // build; new entries go in at the end.
+        let mut fresh = Vec::new();
+        // A wave's trees are alive together in one forest; bounding the
+        // wave bounds the build's peak memory. A subtree gives the same
+        // bits in any forest, so the encodings do not depend on waves.
+        for wave in units.chunks(WAVE_BINARIES) {
+            let looked_up = self.look_up(wave, cache, params_digest, model_digest);
+            let cold: Vec<&ExtractedFunction> = looked_up
+                .iter()
+                .filter_map(|(_, entry)| match entry {
+                    Entry::Cold(extraction) => Some(extraction.successes()),
+                    Entry::Warm { .. } => None,
+                })
+                .flatten()
+                .collect();
+            let mut encodings = {
+                let mut span = asteria_obs::span("encode-forest");
+                span.set_items(cold.len() as u64);
+                encode_functions(self.model, &cold, self.threads).into_iter()
+            };
+            for (&(ii, bi, img), (fingerprint, entry)) in wave.iter().zip(looked_up) {
+                let (functions, report) = match entry {
+                    Entry::Warm { functions, report } => {
+                        stats.hits += 1;
+                        (functions, report)
+                    }
+                    Entry::Cold(extraction) => {
+                        let entry = CachedBinary {
+                            report: extraction.report,
+                            functions: encodings
+                                .by_ref()
+                                .take(extraction.report.extracted)
+                                .collect(),
+                        };
+                        let functions = indexed_functions(ii, bi, img, &entry.functions);
+                        let report = entry.report;
+                        fresh.push((fingerprint, entry));
+                        (functions, report)
+                    }
+                };
+                index.extraction.absorb(&report);
+                index.functions.extend(functions);
+                live.insert(fingerprint);
             }
+        }
+        for (fingerprint, entry) in fresh {
+            stats.misses += 1;
+            cache.insert(fingerprint, entry);
         }
         // Anything the corpus no longer contains is stale.
         stats.evicted += cache.retain_fingerprints(|fp| live.contains(&fp));
         record_build_metrics(&index, &stats);
         (index, stats)
     }
+
+    /// Fingerprints each binary of `wave` over the build's workers and
+    /// either replays its cached entry or extracts it. An entry holding a
+    /// vector of the wrong size (the digests check the model, not the
+    /// entry) is a miss, re-encoded and overwritten.
+    fn look_up(
+        &self,
+        wave: &[(usize, usize, &FirmwareImage)],
+        cache: &IndexCache,
+        params_digest: u64,
+        model_digest: u64,
+    ) -> Vec<(u64, Entry)> {
+        let hidden = self.model.config().hidden_dim;
+        asteria_exec::par_map_threads(self.threads, wave, |&(ii, bi, img)| {
+            let mut bin_span = asteria_obs::span("encode-binary");
+            let bin_timer = asteria_obs::timer();
+            let binary = &img.binaries[bi];
+            let fingerprint = fingerprint_binary(binary, params_digest, model_digest);
+            let cached = cache
+                .get(fingerprint)
+                .filter(|c| c.functions.iter().all(|f| f.vector.len() == hidden));
+            let (entry, mode, functions) = match cached {
+                Some(cached) => {
+                    let functions = indexed_functions(ii, bi, img, &cached.functions);
+                    let n = functions.len();
+                    let report = cached.report;
+                    (Entry::Warm { functions, report }, "warm", n)
+                }
+                None => {
+                    let extraction = extract_binary_resilient(binary, DEFAULT_INLINE_BETA);
+                    let n = extraction.report.extracted;
+                    (Entry::Cold(extraction), "cold", n)
+                }
+            };
+            bin_span.set_items(functions as u64);
+            bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", mode)]);
+            (fingerprint, entry)
+        })
+    }
+}
+
+/// Binaries encoded together as one forest by [`IndexBuilder`]: large
+/// enough that a corpus's shared library code is interned together,
+/// small enough to bound the trees and states held at once.
+const WAVE_BINARIES: usize = 256;
+
+/// A binary of an index build, before encoding.
+enum Entry {
+    /// Replayed from the cache: no extraction, no encoding.
+    Warm {
+        functions: Vec<IndexedFunction>,
+        report: ExtractionReport,
+    },
+    /// Extracted now; its functions go through the wave's forest.
+    Cold(ResilientExtraction),
+}
+
+/// The index entries of binary `bi` of image `ii`, with the image's
+/// ground truth attached.
+fn indexed_functions(
+    ii: usize,
+    bi: usize,
+    img: &FirmwareImage,
+    encodings: &[FunctionEncoding],
+) -> Vec<IndexedFunction> {
+    let attach_truth = |name: &str| {
+        img.planted
+            .iter()
+            .find(|p| p.binary_index == bi && p.display_name == name)
+            .map(|p| (p.cve_index, p.vulnerable))
+    };
+    encodings
+        .iter()
+        .map(|encoding| IndexedFunction {
+            image: ii,
+            binary: bi,
+            name: encoding.name.clone(),
+            encoding: encoding.clone(),
+            ground_truth: attach_truth(&encoding.name),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -111,6 +111,7 @@ fn counters_are_identical_at_every_thread_count() {
     let collector = rec.collector();
 
     let mut reference = None;
+    let mut evaluated_at_one_thread = None;
     for threads in THREAD_COUNTS {
         collector.reset();
         let index = build_threads(&model, &firmware, threads);
@@ -130,6 +131,24 @@ fn counters_are_identical_at_every_thread_count() {
             .map(|(_, v)| *v)
             .expect("encoded counter present");
         assert!(encoded > 0, "{threads} threads");
+        // The forest encoder runs each distinct subtree once: fewer
+        // cells than the trees hold, and the same count at every worker
+        // count, since interning is serial and in corpus order.
+        let counter = |name: &str| {
+            counters
+                .iter()
+                .find(|(k, _)| k.starts_with(name))
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("{name} present"))
+        };
+        let evaluated = counter("asteria_treelstm_cells_evaluated_total");
+        let cells = counter("asteria_treelstm_cells_total");
+        assert!(
+            0 < evaluated && evaluated < cells,
+            "{threads} threads: {evaluated} of {cells} cells evaluated"
+        );
+        let first = *evaluated_at_one_thread.get_or_insert(evaluated);
+        assert_eq!(evaluated, first, "cells evaluated at {threads} threads");
 
         // …and the *entire* counter map — per-arch decompile tallies,
         // budget/outcome taxonomies, cache stats — must not depend on

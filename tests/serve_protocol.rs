@@ -13,6 +13,8 @@
 //!    immediately, and every request still gets exactly one response.
 //! 4. **Graceful drain**: shutdown with requests in flight loses zero
 //!    responses.
+//! 5. **Panic isolation**: a batch that panics is answered with typed
+//!    `internal` errors, and the server keeps answering.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -407,4 +409,88 @@ fn shutdown_with_requests_in_flight_loses_zero_responses() {
     }
     assert_eq!(stats.ok + stats.shutting_down, SENT, "{stats:?}");
     assert!(stats.ok > 0, "nothing was served before the drain");
+}
+
+#[test]
+fn a_panicking_batch_gets_typed_errors_and_the_server_keeps_answering() {
+    // An index from the default model, served by a model whose
+    // vocabulary covers only the first 8 node labels: every query tree
+    // has a label past it, so the encoder's out-of-vocabulary assertion
+    // panics inside every batch.
+    let firmware = build_firmware_corpus(
+        &FirmwareConfig {
+            images: 2,
+            ..Default::default()
+        },
+        &vulnerability_library(),
+    );
+    let index = IndexBuilder::new(&AsteriaModel::new(ModelConfig::default()))
+        .threads(1)
+        .build(&firmware)
+        .expect("in-memory build cannot fail")
+        .index;
+    let small_vocab = Arc::new(AsteriaModel::new(ModelConfig {
+        vocab: 8,
+        ..Default::default()
+    }));
+    for server_threads in [1usize, 2, 8] {
+        let session = SearchSession::new(Arc::clone(&small_vocab), index.clone());
+        let handle = start(
+            Arc::new(session.threads(server_threads)),
+            ServeConfig {
+                batch_wait_ms: 0,
+                ..ServeConfig::default()
+            },
+        );
+        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut stream = stream;
+        let read = |reader: &mut BufReader<TcpStream>| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("a response line");
+            line
+        };
+        let sources = query_sources();
+        let mut internal = 0;
+        // A burst (batches of several queries), then a ping, then one
+        // more query: every request is answered, none hangs.
+        for (id, (function, source)) in sources.iter().enumerate() {
+            stream
+                .write_all(format!("{}\n", query_line(id as u64, function, source)).as_bytes())
+                .expect("send");
+        }
+        let mut ids = Vec::new();
+        for _ in &sources {
+            let line = read(&mut reader);
+            assert!(line.contains("\"kind\":\"internal\""), "{line}");
+            ids.push(response_id(&line).expect("id"));
+            internal += 1;
+        }
+        ids.sort_unstable();
+        assert_eq!(ids, (0..sources.len() as u64).collect::<Vec<_>>());
+        stream
+            .write_all(b"{\"id\":100,\"op\":\"ping\"}\n")
+            .expect("send ping");
+        let line = read(&mut reader);
+        assert!(line.contains("\"pong\":true"), "{line}");
+        let (function, source) = sources[0];
+        stream
+            .write_all(format!("{}\n", query_line(101, function, source)).as_bytes())
+            .expect("send");
+        let line = read(&mut reader);
+        assert_eq!(response_id(&line), Some(101), "{line}");
+        assert!(line.contains("\"kind\":\"internal\""), "{line}");
+        internal += 1;
+
+        let stats = handle.shutdown();
+        assert_eq!(
+            stats.internal, internal,
+            "{server_threads} threads: {stats:?}"
+        );
+        assert_eq!(
+            stats.total(),
+            internal,
+            "{server_threads} threads: {stats:?}"
+        );
+    }
 }
