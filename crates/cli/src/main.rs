@@ -589,6 +589,21 @@ fn num_opt<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Res
     }
 }
 
+/// The value-taking flags `serve` accepts; `--stdio` takes none.
+const SERVE_FLAGS: &[&str] = &[
+    "--listen",
+    "--model",
+    "--index",
+    "--images",
+    "--seed",
+    "--threads",
+    "--batch-size",
+    "--batch-wait-ms",
+    "--queue-capacity",
+    "--deadline-ms",
+    "--max-request-bytes",
+];
+
 /// `serve`: the long-running similarity-query daemon. Loads the model
 /// and builds (or restores, with `--index`) the search index **once**,
 /// then answers line-delimited JSON queries over TCP (`--listen ADDR`)
@@ -596,6 +611,17 @@ fn num_opt<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Res
 /// SIGINT/SIGTERM — at which point it drains in-flight requests before
 /// exiting, so the usual teardown still flushes `--metrics-out`/`--trace`.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    // A mistyped or retired flag must not silently fall back to a default.
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if SERVE_FLAGS.contains(&a.as_str()) {
+            it.next();
+        } else if a != "--stdio" {
+            return Err(CliError::usage(format!(
+                "serve: unknown argument `{a}` (try `asteria-cli help`)"
+            )));
+        }
+    }
     let stdio = args.iter().any(|a| a == "--stdio");
     let listen = opt_value(args, "--listen");
     if stdio == listen.is_some() {

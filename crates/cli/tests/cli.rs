@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_asteria-cli"))
@@ -16,8 +17,11 @@ fn temp_path(name: &str) -> PathBuf {
 const DEMO: &str = "int double_it(int x) { return x * 2; }\n\
                     int saturate(int x) { if (x > 100) { return 100; } return x; }\n";
 
+/// Writes the demo source to a fresh file: tests run concurrently, and
+/// rewriting one shared file let a test compile a half-written copy.
 fn write_demo() -> PathBuf {
-    let src = temp_path("demo.mc");
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let src = temp_path(&format!("demo{}.mc", NEXT.fetch_add(1, Ordering::Relaxed)));
     std::fs::write(&src, DEMO).expect("write source");
     src
 }
@@ -352,6 +356,22 @@ fn index_usage_errors_exit_with_code_2() {
     let out = cli().args(["index", "build"]).output().expect("spawn");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing -o"));
+}
+
+#[test]
+fn serve_rejects_unknown_flags_with_exit_2() {
+    // A mistyped flag must fail loudly rather than fall back to a
+    // default; the check runs before any index is built.
+    let out = cli()
+        .args(["serve", "--stdio", "--images", "1", "--batch-wiat-ms", "7"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("usage error:") && err.contains("--batch-wiat-ms"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -37,11 +37,25 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The nesting budget of one source: how deep statements and expressions
+/// may nest inside each other.
+///
+/// Every later pass over the tree (sema, lowering, the interpreter, even
+/// dropping it) recurses once per level, so a source that nests deeper
+/// than any thread stack would abort the process instead of failing.
+/// The parser charges one level per nested statement, per parenthesised,
+/// call-argument, index or assignment operand, per prefix operator, and
+/// per operator of a left-associative chain, and rejects the source
+/// before building a tree deeper than this.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
 /// Parses a complete MiniC translation unit.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first syntax error.
+/// Returns a [`ParseError`] describing the first syntax error, or the
+/// first point where the source nests deeper than
+/// [`MAX_NESTING_DEPTH`].
 ///
 /// # Examples
 ///
@@ -52,15 +66,52 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let tokens = tokenize(src)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        peak: 0,
+    }
+    .program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at the current token.
+    depth: usize,
+    /// The deepest level reached by the expression being parsed: where
+    /// its deepest leaf sits, which a chain operator pushes one level
+    /// further down.
+    peak: usize,
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper, failing if that exceeds
+    /// [`MAX_NESTING_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth += 1;
+        self.charge(self.depth)?;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Records that the tree reaches `level`, failing if that exceeds
+    /// [`MAX_NESTING_DEPTH`].
+    fn charge(&mut self, level: usize) -> Result<(), ParseError> {
+        self.peak = self.peak.max(level);
+        if level > MAX_NESTING_DEPTH {
+            return self.err(format!(
+                "source nests deeper than {MAX_NESTING_DEPTH} levels"
+            ));
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -179,6 +230,10 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::statement_body)
+    }
+
+    fn statement_body(&mut self) -> Result<Stmt, ParseError> {
         match self.peek().clone() {
             Token::Keyword(Keyword::Int) => {
                 let s = self.local_decl()?;
@@ -260,7 +315,7 @@ impl Parser {
         let else_body = if matches!(self.peek(), Token::Keyword(Keyword::Else)) {
             self.advance();
             if matches!(self.peek(), Token::Keyword(Keyword::If)) {
-                vec![self.if_stmt()?]
+                vec![self.statement()?]
             } else {
                 self.block()?
             }
@@ -339,7 +394,7 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.assignment()
+        self.nested(Self::assignment)
     }
 
     fn assignment(&mut self) -> Result<Expr, ParseError> {
@@ -364,12 +419,33 @@ impl Parser {
             Expr::Index(name, idx) => LValue::Index(name, idx),
             _ => return self.err("left-hand side of assignment is not assignable"),
         };
-        let rhs = self.assignment()?;
+        let rhs = self.nested(Self::assignment)?;
         Ok(Expr::Assign(op, lvalue, Box::new(rhs)))
     }
 
-    /// Precedence-climbing binary expression parser. Level 0 is the loosest.
-    fn binary(&mut self, level: usize) -> Result<Expr, ParseError> {
+    /// Precedence-climbing binary expression parser: parses operators
+    /// of level `min_level` or tighter, each level left-associative.
+    /// One call per operand, not one per level, keeps a parenthesised
+    /// operand a few stack frames deep.
+    fn binary(&mut self, min_level: usize) -> Result<Expr, ParseError> {
+        // `peak` restarts at this expression, so after each operand it
+        // holds the deepest level of the chain so far.
+        let outer_peak = std::mem::replace(&mut self.peak, self.depth);
+        let mut lhs = self.unary()?;
+        while let Some((level, op)) = self.binary_op().filter(|&(l, _)| l >= min_level) {
+            self.advance();
+            let rhs = self.binary(level + 1)?;
+            // The new node pushes every leaf below it one level deeper,
+            // though the parser itself does not recurse.
+            self.charge(self.peak + 1)?;
+            lhs = Expr::bin(op, lhs, rhs);
+        }
+        self.peak = self.peak.max(outer_peak);
+        Ok(lhs)
+    }
+
+    /// The binary operator at the next token, with its precedence level.
+    fn binary_op(&self) -> Option<(usize, BinOp)> {
         const LEVELS: &[&[(&str, BinOp)]] = &[
             &[("||", BinOp::LogOr)],
             &[("&&", BinOp::LogAnd)],
@@ -387,36 +463,32 @@ impl Parser {
             &[("+", BinOp::Add), ("-", BinOp::Sub)],
             &[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Mod)],
         ];
-        if level >= LEVELS.len() {
-            return self.unary();
-        }
-        let mut lhs = self.binary(level + 1)?;
-        'outer: loop {
-            for (sym, op) in LEVELS[level] {
-                if matches!(self.peek(), Token::Punct(p) if p == sym) {
-                    self.advance();
-                    let rhs = self.binary(level + 1)?;
-                    lhs = Expr::bin(*op, lhs, rhs);
-                    continue 'outer;
-                }
-            }
-            return Ok(lhs);
-        }
+        let Token::Punct(p) = self.peek() else {
+            return None;
+        };
+        LEVELS.iter().enumerate().find_map(|(level, ops)| {
+            ops.iter()
+                .find(|(sym, _)| sym == p)
+                .map(|&(_, op)| (level, op))
+        })
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Token::Punct("-") => {
                 self.advance();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Neg, Box::new(self.nested(Self::unary)?)))
             }
             Token::Punct("!") => {
                 self.advance();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
+                Ok(Expr::Unary(UnOp::Not, Box::new(self.nested(Self::unary)?)))
             }
             Token::Punct("~") => {
                 self.advance();
-                Ok(Expr::Unary(UnOp::BitNot, Box::new(self.unary()?)))
+                Ok(Expr::Unary(
+                    UnOp::BitNot,
+                    Box::new(self.nested(Self::unary)?),
+                ))
             }
             Token::Punct("++") => {
                 self.advance();

@@ -48,7 +48,7 @@ pub mod queue;
 pub mod signal;
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -64,7 +64,8 @@ use queue::{BoundedQueue, PushError};
 /// Histogram buckets for the per-batch size distribution.
 const BATCH_SIZE_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
-/// How often blocked reads/accepts wake up to poll the shutdown flag.
+/// How often blocked reads, and the TCP server's signal watcher, wake up
+/// to poll the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Server tunables. `Default` gives the production settings.
@@ -183,17 +184,26 @@ struct Shared {
     config: ServeConfig,
     queue: BoundedQueue<Pending>,
     stopping: AtomicBool,
+    /// The TCP listener's address, connected to once by
+    /// [`Shared::begin_shutdown`] to wake the blocking accept (`None`
+    /// for stdio).
+    accept_wake: Option<SocketAddr>,
     /// Responses sent, indexed by [`Outcome`].
     tallies: [AtomicU64; 8],
 }
 
 impl Shared {
-    fn new(session: Arc<SearchSession>, config: ServeConfig) -> Shared {
+    fn new(
+        session: Arc<SearchSession>,
+        config: ServeConfig,
+        accept_wake: Option<SocketAddr>,
+    ) -> Shared {
         Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             session,
             config,
             stopping: AtomicBool::new(false),
+            accept_wake,
             tallies: Default::default(),
         }
     }
@@ -203,9 +213,14 @@ impl Shared {
         self.stopping.load(Ordering::SeqCst) || signal::shutdown_requested()
     }
 
-    /// Stops intake: new requests are refused, the queue drains.
+    /// Stops intake: new requests are refused, the queue drains, and
+    /// (the first time) a throwaway connection wakes the accept loop.
     fn begin_shutdown(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
+        if !self.stopping.swap(true, Ordering::SeqCst) {
+            if let Some(addr) = self.accept_wake {
+                let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+            }
+        }
         self.queue.close();
     }
 
@@ -603,8 +618,17 @@ pub fn start_tcp(
     listener: TcpListener,
 ) -> io::Result<ServerHandle> {
     let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let shared = Arc::new(Shared::new(session, config));
+    // `accept` blocks until a client (or `begin_shutdown`'s wake-up
+    // connection) arrives, so a new connection is served at once.
+    listener.set_nonblocking(false)?;
+    let mut wake = local_addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let shared = Arc::new(Shared::new(session, config, Some(wake)));
 
     let batcher = std::thread::spawn({
         let shared = Arc::clone(&shared);
@@ -614,12 +638,26 @@ pub fn start_tcp(
     let accept = std::thread::spawn({
         let shared = Arc::clone(&shared);
         move || {
+            // A blocked accept cannot see a signal, so a watcher polls the
+            // process-wide flag and turns it into `begin_shutdown`.
+            let watcher = std::thread::spawn({
+                let shared = Arc::clone(&shared);
+                move || {
+                    while !shared.stopping.load(Ordering::SeqCst) {
+                        if signal::shutdown_requested() {
+                            shared.begin_shutdown();
+                        }
+                        std::thread::park_timeout(POLL_INTERVAL);
+                    }
+                }
+            });
             let mut conns: Vec<JoinHandle<()>> = Vec::new();
             loop {
+                let accepted = listener.accept();
                 if shared.is_stopping() {
                     break;
                 }
-                match listener.accept() {
+                match accepted {
                     Ok((stream, _peer)) => {
                         if asteria_obs::enabled() {
                             asteria_obs::counter_add("asteria_serve_connections_total", &[], 1);
@@ -633,9 +671,6 @@ pub fn start_tcp(
                         // JoinHandles.
                         conns.retain(|h| !h.is_finished());
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(_) => break,
                 }
@@ -643,6 +678,8 @@ pub fn start_tcp(
             // Drain: the queue is closed by whoever initiated shutdown;
             // wait for every connection to flush its responses.
             shared.begin_shutdown();
+            watcher.thread().unpark();
+            let _ = watcher.join();
             for h in conns {
                 let _ = h.join();
             }
@@ -691,7 +728,7 @@ pub fn run_stdio<R: Read, W: Write + Send>(
     input: R,
     output: W,
 ) -> ServeStats {
-    let shared = Shared::new(session, config);
+    let shared = Shared::new(session, config, None);
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::scope(|scope| {
         scope.spawn(|| run_batcher(&shared));

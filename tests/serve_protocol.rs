@@ -15,6 +15,9 @@
 //!    responses.
 //! 5. **Panic isolation**: a batch that panics is answered with typed
 //!    `internal` errors, and the server keeps answering.
+//! 6. **Bounded nesting**: a query nested deeper than the parser's
+//!    budget gets a typed `query` error instead of overflowing a thread
+//!    stack, and the deepest accepted query is answered.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -492,5 +495,102 @@ fn a_panicking_batch_gets_typed_errors_and_the_server_keeps_answering() {
             internal,
             "{server_threads} threads: {stats:?}"
         );
+    }
+}
+
+/// `return` of `a` wrapped in `n` parentheses.
+fn parens(n: usize) -> String {
+    format!(
+        "int f(int a){{return {}a{};}}",
+        "(".repeat(n),
+        ")".repeat(n)
+    )
+}
+
+/// `return a+a+…+a` with `n` operators.
+fn chain(n: usize) -> String {
+    format!("int f(int a){{return a{};}}", "+a".repeat(n))
+}
+
+/// `n` nested `if(a){…}` around `return a;`.
+fn nested_ifs(n: usize) -> String {
+    format!(
+        "int f(int a){{{}return a;{}return 0;}}",
+        "if(a){".repeat(n),
+        "}".repeat(n)
+    )
+}
+
+/// Sources that each overflowed a worker stack before the parser had a
+/// nesting budget, and the deepest source of each shape it accepts. A
+/// `return` statement and its expression take two levels, so each shape
+/// has two levels fewer than the budget left.
+fn nesting_cases() -> (Vec<String>, Vec<String>) {
+    let room = asteria::lang::parser::MAX_NESTING_DEPTH - 2;
+    let rejected = vec![
+        parens(700),
+        parens(100_000),
+        chain(19_999),
+        nested_ifs(3_000),
+    ];
+    let deepest = vec![parens(room), chain(room), nested_ifs(room)];
+    for (accepted, over) in [
+        (parens(room), parens(room + 1)),
+        (chain(room), chain(room + 1)),
+        (nested_ifs(room), nested_ifs(room + 1)),
+    ] {
+        assert!(asteria::lang::parse(&accepted).is_ok(), "{accepted}");
+        let err = asteria::lang::parse(&over).expect_err("one level over the budget");
+        assert!(err.message.contains("nests deeper"), "{err}");
+    }
+    (rejected, deepest)
+}
+
+#[test]
+fn deeply_nested_queries_get_typed_replies_and_the_server_keeps_answering() {
+    let (rejected, deepest) = nesting_cases();
+    let direct = session(1);
+    for source in &rejected {
+        let q = FunctionQuery::new("deep", source.as_str(), "f", Arch::X86);
+        let err = direct.query(&q).expect_err("over the nesting budget");
+        assert!(err.to_string().contains("nests deeper"), "{err}");
+    }
+    for source in &deepest {
+        // Answered or refused with a typed error, but never a crash.
+        let _ = direct.query(&FunctionQuery::new("deep", source.as_str(), "f", Arch::X86));
+    }
+
+    for server_threads in [1usize, 2, 8] {
+        let handle = start(session(server_threads), ServeConfig::default());
+        let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut stream = stream;
+        let mut id = 0;
+        for source in rejected.iter().chain(&deepest) {
+            id += 1;
+            stream
+                .write_all(format!("{}\n", query_line(id, "f", source)).as_bytes())
+                .expect("send");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("a reply, not a crash");
+            assert_eq!(response_id(&line), Some(id), "{line}");
+            if id as usize <= rejected.len() {
+                assert!(line.contains("\"kind\":\"query\""), "{line}");
+                assert!(line.contains("nests deeper"), "{line}");
+            } else {
+                assert!(
+                    line.contains("\"ok\":true") || line.contains("\"kind\":\"query\""),
+                    "{line}"
+                );
+            }
+            stream
+                .write_all(b"{\"id\":0,\"op\":\"ping\"}\n")
+                .expect("send ping");
+            line.clear();
+            reader.read_line(&mut line).expect("pong");
+            assert!(line.contains("\"pong\":true"), "{line}");
+        }
+        let stats = handle.shutdown();
+        assert_eq!(stats.internal, 0, "{stats:?}");
     }
 }
