@@ -8,7 +8,7 @@
 //! |--------|-------|------|
 //! | [`exec`] | `asteria-exec` | deterministic scoped worker pool driving the parallel offline/online phases |
 //! | [`obs`] | `asteria-obs` | unified tracing and metrics layer (spans, counters, Prometheus/JSONL sinks) |
-//! | [`nn`] | `asteria-nn` | tensors, autograd, layers, optimizers (PyTorch substitute) |
+//! | [`nn`] | `asteria-nn` | tensors, autograd, embedding layer, AdaGrad/Adam (PyTorch substitute) |
 //! | [`lang`] | `asteria-lang` | MiniC frontend + reference interpreter |
 //! | [`compiler`] | `asteria-compiler` | four synthetic ISAs, SBF binaries, VM (gcc/buildroot substitute) |
 //! | [`decompiler`] | `asteria-decompiler` | disassembly, lifting, structuring (IDA Pro substitute) |
@@ -43,9 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod corrupt;
-pub mod error;
-
-pub use error::Error;
 
 pub use asteria_baselines as baselines;
 pub use asteria_bignum as bignum;

@@ -9,8 +9,8 @@ use asteria::baselines::{extract_acfg, GeminiModel};
 use asteria::compiler::Arch;
 use asteria::eval::{auc, youden_threshold};
 use asteria::vulnsearch::{
-    build_firmware_corpus, top_k_accuracy, vulnerability_library, FirmwareConfig, IndexBuilder,
-    SearchSession,
+    build_firmware_corpus, render_report, top_k_accuracy, vulnerability_library, FirmwareConfig,
+    IndexBuilder, SearchSession,
 };
 use asteria_bench::{Experiment, Scale};
 
@@ -69,31 +69,8 @@ fn main() {
 
     println!("# Table IV — vulnerability search ({scale:?} scale, threshold {threshold:.2})");
     println!();
-    println!(
-        "| # | CVE | software | function | candidates | confirmed | planted | affected models |"
-    );
-    println!(
-        "|---|-----|----------|----------|------------|-----------|---------|-----------------|"
-    );
-    let mut total_confirmed = 0;
-    for (i, r) in results.iter().enumerate() {
-        println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} |",
-            i + 1,
-            r.cve,
-            r.software,
-            r.function,
-            r.candidates,
-            r.confirmed,
-            r.total_vulnerable,
-            if r.affected_models.is_empty() {
-                "—".to_string()
-            } else {
-                r.affected_models.join(", ")
-            }
-        );
-        total_confirmed += r.confirmed;
-    }
+    print!("{}", render_report(&results));
+    let total_confirmed: usize = results.iter().map(|r| r.confirmed).sum();
     println!();
     println!(
         "total confirmed vulnerable functions: {total_confirmed} \
@@ -115,12 +92,7 @@ fn main() {
         for (bi, binary) in img.binaries.iter().enumerate() {
             for sym in binary.function_indices() {
                 let acfg = extract_acfg(binary, sym).expect("acfg");
-                let name = binary.symbols[sym].display_name();
-                let gt = img
-                    .planted
-                    .iter()
-                    .find(|p| p.binary_index == bi && p.display_name == name)
-                    .map(|p| (p.cve_index, p.vulnerable));
+                let gt = img.ground_truth(bi, &binary.symbols[sym].display_name());
                 gemini_embeddings.push((ii, exp.gemini.embed(&acfg), gt));
             }
         }

@@ -155,12 +155,6 @@ impl Experiment {
     /// Builds corpus + pairs and trains both models. Progress is logged to
     /// stderr because training takes a minute or two at smoke scale.
     pub fn setup(scale: Scale) -> Experiment {
-        Self::setup_with_model(scale, ModelConfig::default())
-    }
-
-    /// Like [`Experiment::setup`] but with a custom Asteria configuration
-    /// (used by the Fig. 8/9 ablation binaries).
-    pub fn setup_with_model(scale: Scale, model_config: ModelConfig) -> Experiment {
         asteria::obs::info!("[setup] building corpus…");
         // Mirror the paper's Buildroot setup: the training corpus contains
         // library code of the same style later searched for vulnerabilities
@@ -186,7 +180,7 @@ impl Experiment {
         );
 
         asteria::obs::info!("[setup] training Asteria ({} epochs)…", scale.epochs());
-        let mut asteria = AsteriaModel::new(model_config);
+        let mut asteria = AsteriaModel::new(ModelConfig::default());
         let train_pairs = to_train_pairs(&corpus, &train_set);
         {
             let corpus_ref = &corpus;
@@ -341,11 +335,6 @@ pub fn gemini_scores_with(model: &GeminiModel, acfgs: &[Acfg], set: &PairSet) ->
             ScoredPair::new(s, p.homologous)
         })
         .collect()
-}
-
-/// Prints a markdown-ish table row.
-pub fn print_row(cells: &[String]) {
-    println!("| {} |", cells.join(" | "));
 }
 
 /// Runs `f` inside a root `asteria-obs` span named `stage` and returns its

@@ -391,17 +391,17 @@ fn cmd_strip(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), CliError> {
+    check_flags(
+        "train",
+        args,
+        &["-o", "--out", "--packages", "--epochs"],
+        &[],
+    )?;
     let out = opt_value(args, "-o")
         .or(opt_value(args, "--out"))
         .ok_or_else(|| CliError::usage("missing -o MODEL"))?;
-    let packages: usize = opt_value(args, "--packages")
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| CliError::usage("bad --packages"))?;
-    let epochs: usize = opt_value(args, "--epochs")
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| CliError::usage("bad --epochs"))?;
+    let packages: usize = num_opt(args, "--packages", 8)?;
+    let epochs: usize = num_opt(args, "--epochs", 8)?;
     asteria::obs::info!("building corpus ({packages} packages × 4 ISAs)…");
     let corpus = build_corpus(&CorpusConfig {
         packages,
@@ -456,21 +456,18 @@ fn load_model(path: Option<&str>) -> Result<AsteriaModel, CliError> {
 }
 
 fn cmd_index_build(args: &[String]) -> Result<(), CliError> {
+    check_flags(
+        "index build",
+        args,
+        &["-o", "--out", "--model", "--images", "--seed", "--threads"],
+        &[],
+    )?;
     let out = opt_value(args, "-o")
         .or(opt_value(args, "--out"))
         .ok_or_else(|| CliError::usage("missing -o INDEX"))?;
-    let images: usize = opt_value(args, "--images")
-        .unwrap_or("6")
-        .parse()
-        .map_err(|_| CliError::usage("bad --images"))?;
-    let seed: u64 = opt_value(args, "--seed")
-        .unwrap_or("77")
-        .parse()
-        .map_err(|_| CliError::usage("bad --seed"))?;
-    let threads: usize = opt_value(args, "--threads")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| CliError::usage("bad --threads"))?;
+    let images: usize = num_opt(args, "--images", 6)?;
+    let seed: u64 = num_opt(args, "--seed", 77)?;
+    let threads: usize = num_opt(args, "--threads", 0)?;
     let model = load_model(opt_value(args, "--model"))?;
 
     let firmware = build_firmware_corpus(
@@ -546,20 +543,13 @@ fn cmd_similarity(args: &[String]) -> Result<(), CliError> {
         .position(|s| s.display_name() == func_b)
         .ok_or_else(|| format!("{path_b}: no function {func_b}"))?;
 
-    let mut model = AsteriaModel::new(ModelConfig::default());
-    match opt_value(args, "--model") {
-        Some(m) => {
-            let bytes = fs::read(m).map_err(|e| format!("{m}: {e}"))?;
-            model
-                .load(bytes.as_slice())
-                .map_err(|e| format!("{m}: {e}"))?;
-        }
-        None => {
-            asteria::obs::info!(
-                "note: scoring with untrained weights (pass --model for a trained one)"
-            )
-        }
+    let model_path = opt_value(args, "--model");
+    if model_path.is_none() {
+        asteria::obs::info!(
+            "note: scoring with untrained weights (pass --model for a trained one)"
+        );
     }
+    let model = load_model(model_path)?;
 
     let fa = extract_function(&ba, sym_a, DEFAULT_INLINE_BETA).map_err(|e| e.to_string())?;
     let fb = extract_function(&bb, sym_b, DEFAULT_INLINE_BETA).map_err(|e| e.to_string())?;
@@ -576,6 +566,30 @@ fn cmd_similarity(args: &[String]) -> Result<(), CliError> {
         "calibrated similarity F(F1,F2) = {f:.4}  (callees {} vs {})",
         fa.callee_count, fb.callee_count
     );
+    Ok(())
+}
+
+/// Rejects any argument of `cmd` that is not one of its `value_flags`
+/// (each followed by its value) or `bool_flags`: a mistyped or retired
+/// flag must not silently fall back to a default.
+fn check_flags(
+    cmd: &str,
+    args: &[String],
+    value_flags: &[&str],
+    bool_flags: &[&str],
+) -> Result<(), CliError> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if value_flags.contains(&a.as_str()) {
+            if it.next().is_none() {
+                return Err(CliError::usage(format!("{cmd}: `{a}` needs a value")));
+            }
+        } else if !bool_flags.contains(&a.as_str()) {
+            return Err(CliError::usage(format!(
+                "{cmd}: unknown argument `{a}` (try `asteria-cli help`)"
+            )));
+        }
+    }
     Ok(())
 }
 
@@ -611,17 +625,7 @@ const SERVE_FLAGS: &[&str] = &[
 /// SIGINT/SIGTERM — at which point it drains in-flight requests before
 /// exiting, so the usual teardown still flushes `--metrics-out`/`--trace`.
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    // A mistyped or retired flag must not silently fall back to a default.
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if SERVE_FLAGS.contains(&a.as_str()) {
-            it.next();
-        } else if a != "--stdio" {
-            return Err(CliError::usage(format!(
-                "serve: unknown argument `{a}` (try `asteria-cli help`)"
-            )));
-        }
-    }
+    check_flags("serve", args, SERVE_FLAGS, &["--stdio"])?;
     let stdio = args.iter().any(|a| a == "--stdio");
     let listen = opt_value(args, "--listen");
     if stdio == listen.is_some() {

@@ -345,6 +345,37 @@ fn index_build_rejects_bad_model_file_with_exit_1() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(!err.contains("panicked"), "{err}");
     assert!(err.contains("not a loadable model"), "{err}");
+
+    // `similarity` loads `--model` through the same loader.
+    let src = write_demo();
+    let sbf = temp_path("bad_model_sim.sbf");
+    assert!(cli()
+        .args([
+            "compile",
+            src.to_str().unwrap(),
+            "--arch",
+            "arm",
+            "-o",
+            sbf.to_str().unwrap()
+        ])
+        .status()
+        .expect("spawn")
+        .success());
+    let target = format!("{}:saturate", sbf.display());
+    let out = cli()
+        .args([
+            "similarity",
+            &target,
+            &target,
+            "--model",
+            junk_model.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.contains("not a loadable model"), "{err}");
 }
 
 #[test]
@@ -372,6 +403,29 @@ fn serve_rejects_unknown_flags_with_exit_2() {
         err.contains("usage error:") && err.contains("--batch-wiat-ms"),
         "{err}"
     );
+}
+
+#[test]
+fn index_build_and_train_reject_misspelled_flags_with_exit_2() {
+    // Each of these used to run with the default value and exit 0.
+    let idx = temp_path("misspelled.asix");
+    let model = temp_path("misspelled_model.bin");
+    let (idx_s, model_s) = (idx.to_str().unwrap(), model.to_str().unwrap());
+    for (args, bad) in [
+        (
+            vec!["index", "build", "-o", idx_s, "--imgaes", "2"],
+            "--imgaes",
+        ),
+        (vec!["train", "-o", model_s, "--epoch", "1"], "--epoch"),
+        // A value flag with nothing after it is not a default either.
+        (vec!["train", "-o", model_s, "--epochs"], "--epochs"),
+    ] {
+        let out = cli().args(&args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage error:") && err.contains(bad), "{err}");
+    }
+    assert!(!idx.exists() && !model.exists());
 }
 
 #[test]

@@ -17,7 +17,8 @@
 //!    the callee-count feature.
 //!
 //! Training ([`train()`]) uses BCELoss + AdaGrad at batch size 1, keeping
-//! best-validation weights, as in §IV-A.
+//! the best-validation weights of an optional per-epoch callback, as in
+//! §IV-A.
 //!
 //! # Examples
 //!
@@ -64,7 +65,4 @@ pub use pipeline::{
 };
 pub use siamese::{SiameseHead, SiameseKind};
 pub use slab::{EncodingSlab, QueryScorer, SLAB_TILE};
-pub use train::{
-    train, train_epoch, train_with_validation, validation_scores, EpochStats, TrainOptions,
-    TrainPair,
-};
+pub use train::{train, train_epoch, EpochStats, TrainOptions, TrainPair};

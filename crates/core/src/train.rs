@@ -113,41 +113,6 @@ pub fn train(
     stats
 }
 
-/// Scores every validation pair with the current model, fanning the
-/// forward passes out over `threads` workers (`0` = auto). Returns
-/// `(similarity, homologous)` rows in input order — feed them to any
-/// metric (the benches use `asteria-eval`'s AUC). Scoring is read-only
-/// on the model, so the fan-out is bit-identical to a serial scan; the
-/// SGD update loop itself stays sequential, matching the paper's
-/// batch-size-1 protocol.
-pub fn validation_scores(
-    model: &AsteriaModel,
-    pairs: &[TrainPair],
-    threads: usize,
-) -> Vec<(f32, bool)> {
-    asteria_exec::par_map_threads(threads, pairs, |p| {
-        (model.similarity(&p.a, &p.b), p.homologous)
-    })
-}
-
-/// [`train`] with a built-in parallel validation path: after each epoch,
-/// `validation` pairs are scored via [`validation_scores`] over `threads`
-/// workers and reduced to a scalar by `metric` (larger is better); the
-/// best-epoch weights are restored at the end. Only validation fans out —
-/// the SGD update loop is sequential by protocol.
-pub fn train_with_validation(
-    model: &mut AsteriaModel,
-    pairs: &[TrainPair],
-    validation: &[TrainPair],
-    options: &TrainOptions,
-    threads: usize,
-    metric: impl Fn(&[(f32, bool)]) -> f64,
-) -> Vec<EpochStats> {
-    let mut validate =
-        |m: &AsteriaModel| -> f64 { metric(&validation_scores(m, validation, threads)) };
-    train(model, pairs, options, Some(&mut validate))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,45 +217,6 @@ mod tests {
         assert_eq!(call, 5);
         // Final weights must equal the epoch-3 (index 2) snapshot.
         assert_eq!(m.snapshot(), snapshots[2]);
-    }
-
-    #[test]
-    fn validation_scores_are_thread_count_invariant() {
-        let m = small_model();
-        let pairs = toy_pairs();
-        let serial = validation_scores(&m, &pairs, 1);
-        assert_eq!(serial.len(), pairs.len());
-        for threads in [2, 8] {
-            let par = validation_scores(&m, &pairs, threads);
-            // Bit-identical, not approximately equal.
-            let serial_bits: Vec<(u32, bool)> =
-                serial.iter().map(|(s, h)| (s.to_bits(), *h)).collect();
-            let par_bits: Vec<(u32, bool)> = par.iter().map(|(s, h)| (s.to_bits(), *h)).collect();
-            assert_eq!(par_bits, serial_bits, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn train_with_validation_restores_best_weights() {
-        let pairs = toy_pairs();
-        // Mean positive-pair score as the metric: deterministic, and the
-        // parallel path must reproduce the callback path exactly.
-        let metric = |scores: &[(f32, bool)]| -> f64 {
-            let pos: Vec<f32> = scores.iter().filter(|(_, h)| *h).map(|(s, _)| *s).collect();
-            pos.iter().map(|s| *s as f64).sum::<f64>() / pos.len().max(1) as f64
-        };
-        let options = TrainOptions {
-            epochs: 6,
-            ..Default::default()
-        };
-        let mut parallel = small_model();
-        let stats = train_with_validation(&mut parallel, &pairs, &pairs, &options, 4, metric);
-        assert_eq!(stats.len(), 6);
-        // Reference run through the plain callback API.
-        let mut reference = small_model();
-        let mut validate = |m: &AsteriaModel| -> f64 { metric(&validation_scores(m, &pairs, 1)) };
-        train(&mut reference, &pairs, &options, Some(&mut validate));
-        assert_eq!(parallel.snapshot(), reference.snapshot());
     }
 
     #[test]

@@ -33,11 +33,9 @@
 pub mod corpus;
 pub mod gen;
 pub mod pairs;
-pub mod persist;
 
 pub use corpus::{
     build_corpus, build_corpus_with_extra, Corpus, CorpusBinary, CorpusConfig, FunctionInstance,
 };
 pub use gen::{generate_package, GenConfig};
 pub use pairs::{build_pairs, to_train_pairs, Pair, PairConfig, PairSet, ARCH_COMBINATIONS};
-pub use persist::{load_corpus, save_corpus};

@@ -4,8 +4,6 @@
 
 use std::fmt::Write;
 
-use asteria_lang::BinOp;
-
 use crate::ast::{DAssignOp, DExpr, DFunction, DPlace, DStmt};
 
 /// Renders a whole decompiled function as pseudo-C.
@@ -183,11 +181,6 @@ fn render_expr(e: &DExpr, b: &asteria_compiler::Binary) -> String {
         ),
         DExpr::Cast(inner) => format!("(int){}", render_sub(inner, b)),
     }
-}
-
-/// Renders the condition operator table used above (exposed for tests).
-pub fn binop_symbol(op: BinOp) -> &'static str {
-    op.symbol()
 }
 
 #[cfg(test)]

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod check;
 pub mod interp;
 pub mod lexer;
 pub mod parser;
@@ -40,7 +39,6 @@ pub mod pretty;
 pub use ast::{
     AssignOp, BinOp, Expr, Function, Global, IncDec, LValue, Param, Program, Stmt, SwitchCase, UnOp,
 };
-pub use check::{check_program, Diagnostic};
 pub use interp::{external_call_result, EvalError, Interp};
 pub use lexer::{tokenize, LexError, Token};
 pub use parser::{parse, ParseError};

@@ -40,7 +40,7 @@ impl From<LexError> for ParseError {
 /// The nesting budget of one source: how deep statements and expressions
 /// may nest inside each other.
 ///
-/// Every later pass over the tree (sema, lowering, the interpreter, even
+/// Every later pass over the tree (lowering, the interpreter, even
 /// dropping it) recurses once per level, so a source that nests deeper
 /// than any thread stack would abort the process instead of failing.
 /// The parser charges one level per nested statement, per parenthesised,

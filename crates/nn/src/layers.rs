@@ -1,4 +1,4 @@
-//! Reusable layers: embeddings and affine (linear) transforms.
+//! Reusable layers: the embedding table.
 
 use rand::Rng;
 
@@ -73,81 +73,6 @@ impl Embedding {
     }
 }
 
-/// An affine transform `y = Wx + b`.
-#[derive(Debug, Clone, Copy)]
-pub struct Linear {
-    weight: ParamId,
-    bias: Option<ParamId>,
-    inputs: usize,
-    outputs: usize,
-}
-
-impl Linear {
-    /// Registers a `(outputs, inputs)` Xavier-initialized weight matrix and
-    /// a zero bias vector.
-    pub fn new<R: Rng>(
-        store: &mut ParamStore,
-        name: &str,
-        inputs: usize,
-        outputs: usize,
-        rng: &mut R,
-    ) -> Self {
-        let weight = store.add(format!("{name}.w"), Tensor::xavier(outputs, inputs, rng));
-        let bias = store.add(format!("{name}.b"), Tensor::zeros(outputs, 1));
-        Linear {
-            weight,
-            bias: Some(bias),
-            inputs,
-            outputs,
-        }
-    }
-
-    /// Registers a bias-free linear transform.
-    pub fn new_no_bias<R: Rng>(
-        store: &mut ParamStore,
-        name: &str,
-        inputs: usize,
-        outputs: usize,
-        rng: &mut R,
-    ) -> Self {
-        let weight = store.add(format!("{name}.w"), Tensor::xavier(outputs, inputs, rng));
-        Linear {
-            weight,
-            bias: None,
-            inputs,
-            outputs,
-        }
-    }
-
-    /// Input dimension.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
-    /// Output dimension.
-    pub fn outputs(&self) -> usize {
-        self.outputs
-    }
-
-    /// Weight parameter id.
-    pub fn weight(&self) -> ParamId {
-        self.weight
-    }
-
-    /// Applies the transform to a `(inputs, 1)` node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        let w = g.param(store, self.weight);
-        let wx = g.matvec(w, x);
-        match self.bias {
-            Some(b) => {
-                let bn = g.param(store, b);
-                g.add(wx, bn)
-            }
-            None => wx,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,28 +98,5 @@ mod tests {
         let emb = Embedding::new(&mut store, "e", 10, 4, &mut rng);
         let mut g = Graph::new();
         emb.lookup(&mut g, &store, 10);
-    }
-
-    #[test]
-    fn linear_applies_affine_transform() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let lin = Linear::new(&mut store, "l", 3, 2, &mut rng);
-        // Overwrite with known values.
-        *store.value_mut(lin.weight()) = Tensor::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 1.0]]);
-        let b = store.find("l.b").unwrap();
-        *store.value_mut(b) = Tensor::column(&[10.0, 20.0]);
-        let mut g = Graph::new();
-        let x = g.input(Tensor::column(&[1.0, 2.0, 3.0]));
-        let y = lin.forward(&mut g, &store, x);
-        assert_eq!(g.value(y).as_slice(), &[11.0, 25.0]);
-    }
-
-    #[test]
-    fn linear_no_bias_has_single_param() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = Linear::new_no_bias(&mut store, "l", 3, 2, &mut rng);
-        assert_eq!(store.len(), 1);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The Asteria paper builds its Tree-LSTM on PyTorch. This crate is the
 //! reproduction's PyTorch substitute: a dense [`Tensor`] type, a tape-based
-//! reverse-mode autodiff [`Graph`], [`Embedding`]/[`Linear`] layers, and the
+//! reverse-mode autodiff [`Graph`], the [`Embedding`] layer, and the
 //! optimizers the paper and its baselines need ([`AdaGrad`] for Asteria,
-//! [`Sgd`]/[`Adam`] for ablations and for the Gemini baseline).
+//! [`Adam`] for the Gemini baseline).
 //!
 //! The tape is rebuilt per example, which is what dynamic tree-shaped models
 //! require — the paper itself notes that Tree-LSTM computation "depends on
@@ -44,7 +44,7 @@ mod params;
 mod tensor;
 
 pub use graph::{Graph, NodeId};
-pub use layers::{Embedding, Linear};
-pub use optim::{AdaGrad, Adam, Optimizer, Sgd};
+pub use layers::Embedding;
+pub use optim::{AdaGrad, Adam, Optimizer};
 pub use params::{Fnv, ParamId, ParamStore};
 pub use tensor::{ColMajor, Tensor};

@@ -1,4 +1,5 @@
-//! Gradient-descent optimizers: SGD, AdaGrad (the paper's choice), Adam.
+//! Gradient-descent optimizers: AdaGrad (the paper's choice for Asteria)
+//! and Adam (the Gemini baseline's).
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
@@ -14,37 +15,6 @@ pub trait Optimizer {
 
     /// The configured learning rate.
     fn learning_rate(&self) -> f32;
-}
-
-/// Plain stochastic gradient descent: `w ← w − lr · g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive and finite.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        for id in store.ids().collect::<Vec<_>>() {
-            let g = store.grad(id).clone();
-            store.value_mut(id).add_scaled(&g, -self.lr);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
 }
 
 /// AdaGrad, the optimizer the paper uses for Tree-LSTM training (§IV-A):
@@ -216,12 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = converges(&mut Sgd::new(0.1), 200);
-        assert!((w - 3.0).abs() < 1e-3, "w={w}");
-    }
-
-    #[test]
     fn adagrad_converges_on_quadratic() {
         let w = converges(&mut AdaGrad::new(0.5), 800);
         assert!((w - 3.0).abs() < 0.05, "w={w}");
@@ -252,6 +216,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_nonpositive_lr() {
-        let _ = Sgd::new(0.0);
+        let _ = AdaGrad::new(0.0);
     }
 }

@@ -138,11 +138,6 @@ impl SpanGuard {
             a.items = items;
         }
     }
-
-    /// True when the span is live (recording was enabled at enter).
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
-    }
 }
 
 impl Drop for SpanGuard {

@@ -282,6 +282,9 @@ enum LineEvent {
 struct LineReader<R: Read> {
     inner: R,
     buf: Vec<u8>,
+    /// Length of the prefix of `buf` already searched for `\n`, so each
+    /// byte is scanned once however the line arrives.
+    scanned: usize,
     max: usize,
     discarding: bool,
     eof: bool,
@@ -292,6 +295,7 @@ impl<R: Read> LineReader<R> {
         LineReader {
             inner,
             buf: Vec::new(),
+            scanned: 0,
             max: max.max(1),
             discarding: false,
             eof: false,
@@ -301,8 +305,9 @@ impl<R: Read> LineReader<R> {
     fn next_event(&mut self) -> LineEvent {
         loop {
             // Serve a complete line out of the buffer first.
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
+            if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = self.buf.drain(..=self.scanned + pos).collect();
+                self.scanned = 0;
                 if self.discarding || line.len() - 1 > self.max {
                     self.discarding = false;
                     return LineEvent::Oversized;
@@ -317,6 +322,7 @@ impl<R: Read> LineReader<R> {
                 self.buf.clear();
                 self.discarding = true;
             }
+            self.scanned = self.buf.len();
             if self.eof {
                 if self.discarding {
                     self.discarding = false;
@@ -328,6 +334,7 @@ impl<R: Read> LineReader<R> {
                 // Final unterminated line.
                 let text = String::from_utf8_lossy(&self.buf).to_string();
                 self.buf.clear();
+                self.scanned = 0;
                 return LineEvent::Line(text);
             }
             let mut chunk = [0u8; 4096];
@@ -904,6 +911,32 @@ mod tests {
             text.contains("\"pong\""),
             "next request still served: {text}"
         );
+    }
+
+    /// Hands out its bytes one per `read`, the worst case for a reader
+    /// that rescans its buffer after every read.
+    struct ByteAtATime(std::io::Cursor<Vec<u8>>);
+
+    impl Read for ByteAtATime {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn a_long_line_arriving_byte_by_byte_is_scanned_once() {
+        let mut bytes = vec![b'x'; 256 * 1024];
+        bytes.push(b'\n');
+        let mut reader = LineReader::new(ByteAtATime(std::io::Cursor::new(bytes)), 1 << 20);
+        let start = Instant::now();
+        match reader.next_event() {
+            LineEvent::Line(line) => assert_eq!(line.len(), 256 * 1024),
+            _ => panic!("expected the line"),
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
+        assert!(matches!(reader.next_event(), LineEvent::Eof));
     }
 
     #[test]

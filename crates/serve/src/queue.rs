@@ -93,11 +93,6 @@ impl<T> BoundedQueue<T> {
         self.nonempty.notify_all();
     }
 
-    /// True once [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        relock(self.inner.lock()).closed
-    }
-
     /// Takes the next batch: blocks until at least one item is queued,
     /// then dwells up to `dwell` (from the first pop) to let the batch
     /// fill toward `max`. Returns `None` only when the queue is closed

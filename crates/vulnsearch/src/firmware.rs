@@ -85,6 +85,16 @@ impl FirmwareImage {
             .map(|b| b.function_indices().len())
             .sum()
     }
+
+    /// The ground truth of function `display_name` in binary
+    /// `binary_index`: `(cve_index, vulnerable)` when a library function
+    /// was planted there, `None` for ordinary firmware code.
+    pub fn ground_truth(&self, binary_index: usize, display_name: &str) -> Option<(usize, bool)> {
+        self.planted
+            .iter()
+            .find(|p| p.binary_index == binary_index && p.display_name == display_name)
+            .map(|p| (p.cve_index, p.vulnerable))
+    }
 }
 
 const VENDORS: &[(&str, &[&str])] = &[
@@ -233,6 +243,10 @@ mod tests {
                     .into_iter()
                     .any(|i| b.symbols[i].display_name() == p.display_name);
                 assert!(found, "{} not found in its binary", p.display_name);
+                assert_eq!(
+                    img.ground_truth(p.binary_index, &p.display_name),
+                    Some((p.cve_index, p.vulnerable))
+                );
             }
         }
     }

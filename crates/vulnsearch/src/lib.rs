@@ -33,9 +33,7 @@ pub use index_io::{
     ASIX_MAGIC, ASIX_VERSION,
 };
 pub use library::{vulnerability_library, CveEntry};
-pub use report::{
-    render_report, render_report_with_cache, render_report_with_extraction, render_summary_lines,
-};
+pub use report::render_report;
 pub use search::{
     top_k_accuracy, CveSearchResult, IndexedFunction, QueryError, QueryErrorKind, SearchHit,
     SearchIndex,

@@ -321,12 +321,6 @@ fn indexed_functions(
     img: &FirmwareImage,
     encodings: &[FunctionEncoding],
 ) -> Vec<IndexedFunction> {
-    let attach_truth = |name: &str| {
-        img.planted
-            .iter()
-            .find(|p| p.binary_index == bi && p.display_name == name)
-            .map(|p| (p.cve_index, p.vulnerable))
-    };
     encodings
         .iter()
         .map(|encoding| IndexedFunction {
@@ -334,7 +328,7 @@ fn indexed_functions(
             binary: bi,
             name: encoding.name.clone(),
             encoding: encoding.clone(),
-            ground_truth: attach_truth(&encoding.name),
+            ground_truth: img.ground_truth(bi, &encoding.name),
         })
         .collect()
 }
@@ -896,15 +890,11 @@ mod tests {
         assert!(!index.is_empty());
         // The whole search pipeline still runs end to end.
         let lib = vulnerability_library();
-        let extraction = index.extraction;
         let session = SearchSession::new(model, index);
         let results = session
             .run(&firmware, &lib, 0.5, Arch::X86)
             .expect("queries encode");
         assert_eq!(results.len(), lib.len());
-        let report = crate::report::render_report_with_extraction(&results, 0.5, &extraction);
-        assert!(report.contains("## Corpus coverage"));
-        assert!(report.contains(&format!("{corrupted} skipped")));
     }
 
     #[test]
