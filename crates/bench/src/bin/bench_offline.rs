@@ -24,19 +24,7 @@ use asteria::vulnsearch::{
     build_firmware_corpus, vulnerability_library, FirmwareConfig, FunctionQuery, IndexBuilder,
     IndexCache, SearchIndex, SearchSession,
 };
-use asteria_bench::{timed, Scale};
-
-fn parse_threads() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--threads" {
-            if let Ok(n) = w[1].parse::<usize>() {
-                return n;
-            }
-        }
-    }
-    0
-}
+use asteria_bench::{timed, HarnessArgs, Scale};
 
 /// Strict bit-level equality of two indexes: order, names, ground truth,
 /// encoding bits, and extraction reports.
@@ -76,8 +64,8 @@ fn json_ratio(value: Option<f64>) -> String {
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let threads = resolve_threads(parse_threads());
+    let HarnessArgs { scale, threads } = HarnessArgs::from_env(true);
+    let threads = resolve_threads(threads);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

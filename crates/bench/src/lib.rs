@@ -3,8 +3,9 @@
 //!
 //! Each table/figure has a dedicated binary (`table1_nodes`, `fig6_roc`,
 //! …) that prints the same rows/series the paper reports. All binaries
-//! accept `--scale smoke|paper` (default `smoke`): `smoke` finishes on one
-//! CPU core in minutes; `paper` raises corpus sizes and epochs toward the
+//! accept `--scale smoke|mid|paper` (default `smoke`) and `--quiet` /
+//! `--verbose` ([`HarnessArgs`]): `smoke` finishes on one CPU core in
+//! minutes; `mid` and `paper` raise corpus sizes and epochs toward the
 //! paper's scale.
 
 #![forbid(unsafe_code)]
@@ -32,31 +33,10 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--scale …` from argv, defaulting to `Smoke`.
-    ///
-    /// Also applies the shared bench verbosity flags: `--quiet` silences
-    /// all stderr progress lines (they go through `asteria::obs`
-    /// events), `--verbose` turns on debug-level lines.
+    /// The harness scale from argv (see [`HarnessArgs::from_env`]), for
+    /// the harnesses that take no `--threads`.
     pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quiet") {
-            asteria::obs::set_verbosity(asteria::obs::Verbosity::Quiet);
-        } else if args.iter().any(|a| a == "--verbose") {
-            asteria::obs::set_verbosity(asteria::obs::Verbosity::Verbose);
-        }
-        for w in args.windows(2) {
-            if w[0] == "--scale" {
-                match w[1].as_str() {
-                    "paper" => return Scale::Paper,
-                    "mid" => return Scale::Mid,
-                    _ => {}
-                }
-            }
-        }
-        if args.iter().any(|a| a == "--paper") {
-            return Scale::Paper;
-        }
-        Scale::Smoke
+        HarnessArgs::from_env(false).scale
     }
 
     /// Corpus configuration at this scale.
@@ -111,6 +91,68 @@ impl Scale {
             Scale::Mid => 16,
             Scale::Paper => 60,
         }
+    }
+}
+
+/// A harness command line: `[--scale smoke|mid|paper] [--quiet |
+/// --verbose]`, plus `[--threads N]` where the harness takes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HarnessArgs {
+    /// `--scale`, default [`Scale::Smoke`].
+    pub scale: Scale,
+    /// `--threads`, default `0`: every core, or `ASTERIA_THREADS`.
+    pub threads: usize,
+}
+
+impl HarnessArgs {
+    /// Parses argv; `takes_threads` says whether the calling harness uses
+    /// `--threads`. `--quiet` silences the stderr progress lines (they go
+    /// through `asteria::obs` events), `--verbose` adds debug-level ones.
+    /// Anything else, a bad or missing value, or a repeated flag prints
+    /// `usage error:` and exits with code 2.
+    pub fn from_env(takes_threads: bool) -> HarnessArgs {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&argv, takes_threads).unwrap_or_else(|e| {
+            let threads = if takes_threads { " [--threads N]" } else { "" };
+            eprintln!(
+                "usage error: {e}\n  usage: [--scale smoke|mid|paper] [--quiet | --verbose]{threads}"
+            );
+            std::process::exit(2)
+        })
+    }
+
+    fn parse(argv: &[String], takes_threads: bool) -> Result<HarnessArgs, String> {
+        let mut args = HarnessArgs {
+            scale: Scale::Smoke,
+            threads: 0,
+        };
+        let mut seen = Vec::new();
+        let mut it = argv.iter();
+        while let Some(flag) = it.next() {
+            if seen.contains(&flag) {
+                return Err(format!("`{flag}` is given twice"));
+            }
+            seen.push(flag);
+            let mut value = || it.next().ok_or_else(|| format!("`{flag}` needs a value"));
+            match flag.as_str() {
+                "--quiet" => asteria::obs::set_verbosity(asteria::obs::Verbosity::Quiet),
+                "--verbose" => asteria::obs::set_verbosity(asteria::obs::Verbosity::Verbose),
+                "--scale" => {
+                    args.scale = match value()?.as_str() {
+                        "smoke" => Scale::Smoke,
+                        "mid" => Scale::Mid,
+                        "paper" => Scale::Paper,
+                        other => return Err(format!("unknown scale `{other}`")),
+                    }
+                }
+                "--threads" if takes_threads => {
+                    let v = value()?;
+                    args.threads = v.parse().map_err(|_| format!("bad --threads: {v}"))?;
+                }
+                _ => return Err(format!("unknown argument `{flag}`")),
+            }
+        }
+        Ok(args)
     }
 }
 

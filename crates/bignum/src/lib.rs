@@ -72,11 +72,6 @@ impl BigUint {
         }
     }
 
-    /// Number of limbs (for size diagnostics).
-    pub fn limb_count(&self) -> usize {
-        self.limbs.len()
-    }
-
     fn trim(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
@@ -283,7 +278,7 @@ mod tests {
         for _ in 0..5 {
             n.mul_u64(u64::MAX);
         }
-        assert!(n.limb_count() >= 5);
+        assert!(n.limbs.len() >= 5);
         // (2^64 - 1)^5 mod 2 = 1
         assert_eq!(n.rem_u64(2), 1);
     }
@@ -323,7 +318,7 @@ mod tests {
     fn add_with_carry_chain() {
         let mut n = BigUint::from_u64(u64::MAX);
         n.add_u64(1);
-        assert_eq!(n.limb_count(), 2);
+        assert_eq!(n.limbs.len(), 2);
         assert_eq!(n.to_decimal(), "18446744073709551616");
     }
 

@@ -1,22 +1,22 @@
-//! `asteria-cli` — a command-line front end over the whole reproduction.
+//! `asteria-cli` — a command-line front end over the whole reproduction:
+//! compile MiniC to `.sbf` binaries, inspect, disassemble, decompile and
+//! run them, train a model, score two functions, build an ASIX index and
+//! serve similarity queries. `asteria-cli help` prints every command's
+//! synopsis.
 //!
-//! ```text
-//! asteria-cli compile   <src.mc> --arch x86|x64|arm|ppc -o <out.sbf>
-//! asteria-cli info      <bin.sbf>
-//! asteria-cli disasm    <bin.sbf> [--function NAME]
-//! asteria-cli decompile <bin.sbf> [--function NAME]
-//! asteria-cli run       <bin.sbf> <function> [int args…]
-//! asteria-cli strip     <bin.sbf> -o <out.sbf>
-//! asteria-cli train     -o <model.bin> [--packages N] [--epochs E]
-//! asteria-cli similarity <a.sbf>:<func> <b.sbf>:<func> [--model model.bin]
-//! asteria-cli index build -o <index.asix> [--model model.bin] [--images N] [--seed S] [--threads N]
-//! asteria-cli index info  <index.asix>
-//! asteria-cli serve     --listen ADDR | --stdio [--model M] [--index I.asix] [--images N] [--seed S]
-//! ```
+//! Every command is one entry of [`COMMANDS`]: its synopsis, which names
+//! its flags, and its positional count. One parser reads that table
+//! together with the global flags, so an unknown, repeated or value-less
+//! flag and a wrong number of positionals are all usage errors (exit 2)
+//! before any work starts. An argument that parses as an integer
+//! is always a positional, so `run demo.sbf f -5` passes `-5`. Data errors
+//! exit 1; a reader that closes stdout early ends the command quietly
+//! with exit 0.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::net::TcpListener;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -27,10 +27,11 @@ use asteria::core::{
 };
 use asteria::datasets::{build_corpus, build_pairs, to_train_pairs, CorpusConfig, PairConfig};
 use asteria::decompiler::{decompile_function, render_function};
+use asteria::obs::Verbosity;
 use asteria::serve::{self, ServeConfig};
 use asteria::vulnsearch::{
-    build_firmware_corpus, vulnerability_library, FirmwareConfig, IndexBuilder, IndexCache,
-    SearchSession, ASIX_VERSION,
+    build_firmware_corpus, vulnerability_library, FirmwareConfig, IndexBuild, IndexBuilder,
+    IndexCache, SearchSession, ASIX_VERSION,
 };
 
 /// A CLI failure, split by who got it wrong: the invocation (exit code
@@ -41,12 +42,8 @@ enum CliError {
     Usage(String),
     /// The inputs failed to load, decode, decompile or execute.
     Data(String),
-}
-
-impl CliError {
-    fn usage(msg: impl Into<String>) -> CliError {
-        CliError::Usage(msg.into())
-    }
+    /// The reader of stdout went away; nothing is left to report to.
+    StdoutClosed,
 }
 
 impl From<String> for CliError {
@@ -55,73 +52,266 @@ impl From<String> for CliError {
     }
 }
 
-impl From<&str> for CliError {
-    fn from(msg: &str) -> Self {
-        CliError::Data(msg.to_string())
-    }
-}
-
-/// Global observability flags, valid on any command: `--quiet` /
-/// `--verbose` set the stderr verbosity, `--trace FILE` writes a JSONL
-/// span/event log, `--metrics-out FILE` writes a Prometheus-style text
-/// exposition. Recording is only enabled when an output is requested, so
-/// plain runs keep the zero-cost no-op path.
-struct GlobalFlags {
-    trace: Option<String>,
-    metrics_out: Option<String>,
-}
-
-impl GlobalFlags {
-    fn wants_recording(&self) -> bool {
-        self.trace.is_some() || self.metrics_out.is_some()
-    }
-}
-
-/// Strips the global flags out of the raw argument list (they may appear
-/// anywhere) so the per-command positional parsing never sees them.
-///
-/// Returns the flags parsed so far even on a usage error, so the one
-/// teardown path can still flush whatever artifacts *were* requested.
-fn extract_global_flags(args: Vec<String>) -> (GlobalFlags, Vec<String>, Option<CliError>) {
-    let mut flags = GlobalFlags {
-        trace: None,
-        metrics_out: None,
-    };
-    let mut rest = Vec::with_capacity(args.len());
-    let mut err = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quiet" => asteria::obs::set_verbosity(asteria::obs::Verbosity::Quiet),
-            "--verbose" => asteria::obs::set_verbosity(asteria::obs::Verbosity::Verbose),
-            "--trace" => match it.next() {
-                Some(v) => flags.trace = Some(v),
-                None => err = err.or_else(|| Some(CliError::usage("missing --trace FILE"))),
-            },
-            "--metrics-out" => match it.next() {
-                Some(v) => flags.metrics_out = Some(v),
-                None => err = err.or_else(|| Some(CliError::usage("missing --metrics-out FILE"))),
-            },
-            _ => rest.push(a),
+/// Only writes to stdout reach `?` as a bare `io::Error`: every file
+/// error is mapped to a message naming its path first.
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            CliError::StdoutClosed
+        } else {
+            CliError::Data(format!("stdout: {e}"))
         }
     }
-    (flags, rest, err)
+}
+
+/// One command of the CLI.
+struct Command {
+    /// The one-line synopsis `help` and usage errors print. It is also the
+    /// command's grammar: its leading lowercase words name the command,
+    /// and a flag in it takes a value when a placeholder follows it
+    /// (`-o <out.sbf>`), none when another flag or the end does
+    /// (`--stdio`).
+    synopsis: &'static str,
+    /// How many positional arguments it takes.
+    positionals: RangeInclusive<usize>,
+    /// The command itself, writing its output to the given stdout.
+    run: fn(&Args, &mut dyn Write) -> Result<(), CliError>,
+}
+
+impl Command {
+    /// The command words, e.g. `index build`.
+    fn name(&self) -> String {
+        let lowercase = |w: &&str| w.bytes().all(|b| b.is_ascii_lowercase());
+        let words: Vec<&str> = self.synopsis.split(' ').take_while(lowercase).collect();
+        words.join(" ")
+    }
+}
+
+/// Every command, in `help` order.
+const COMMANDS: &[Command] = &[
+    Command {
+        synopsis: "compile <src.mc> [--arch x86|x64|arm|ppc] -o <out.sbf>",
+        positionals: 1..=1,
+        run: cmd_compile,
+    },
+    Command {
+        synopsis: "info <bin.sbf>",
+        positionals: 1..=1,
+        run: cmd_info,
+    },
+    Command {
+        synopsis: "disasm <bin.sbf> [--function NAME]",
+        positionals: 1..=1,
+        run: cmd_disasm,
+    },
+    Command {
+        synopsis: "decompile <bin.sbf> [--function NAME]",
+        positionals: 1..=1,
+        run: cmd_decompile,
+    },
+    Command {
+        synopsis: "run <bin.sbf> <function> [int args…]",
+        positionals: 2..=usize::MAX,
+        run: cmd_run,
+    },
+    Command {
+        synopsis: "strip <bin.sbf> -o <out.sbf>",
+        positionals: 1..=1,
+        run: cmd_strip,
+    },
+    Command {
+        synopsis: "train -o <model.bin> [--packages N] [--epochs E]",
+        positionals: 0..=0,
+        run: cmd_train,
+    },
+    Command {
+        synopsis: "similarity <a.sbf>:<func> <b.sbf>:<func> [--model <model.bin>]",
+        positionals: 2..=2,
+        run: cmd_similarity,
+    },
+    Command {
+        synopsis: "index build -o <index.asix> [--model <model.bin>] [--images N] [--seed S] \
+                   [--threads N]",
+        positionals: 0..=0,
+        run: cmd_index_build,
+    },
+    Command {
+        synopsis: "index info <index.asix>",
+        positionals: 1..=1,
+        run: cmd_index_info,
+    },
+    Command {
+        synopsis: "serve --listen ADDR | --stdio [--model <model.bin>] [--index <index.asix>] \
+                   [--images N] [--seed S] [--threads N] [--batch-size N] [--batch-wait-ms MS] \
+                   [--queue-capacity N] [--deadline-ms MS] [--max-request-bytes N]",
+        positionals: 0..=0,
+        run: cmd_serve,
+    },
+    Command {
+        synopsis: "help",
+        positionals: 0..=0,
+        run: cmd_help,
+    },
+];
+
+/// The flags every command takes, anywhere on its line: `--quiet` /
+/// `--verbose` set the stderr verbosity, `--trace` writes a JSONL
+/// span/event log and `--metrics-out` a Prometheus-style text exposition.
+/// Recording is only enabled when an output is requested, so plain runs
+/// keep the zero-cost no-op path.
+const GLOBAL_SYNOPSIS: &str = "[--quiet | --verbose] [--metrics-out FILE] [--trace FILE]";
+
+/// Whether `synopsis` spells `flag` and, if it does, whether the flag
+/// takes a value.
+fn flag_takes_value(synopsis: &str, flag: &str) -> Option<bool> {
+    let mut words = synopsis
+        .split(|c: char| c.is_whitespace() || "[]|".contains(c))
+        .filter(|w| !w.is_empty())
+        .skip_while(|w| *w != flag);
+    words.next()?;
+    Some(words.next().is_some_and(|w| !is_flag(w)))
+}
+
+/// Every flag given, the global ones included, with its value (empty for
+/// a boolean flag).
+type Flags = Vec<(String, String)>;
+
+fn flag_value<'a>(flags: &'a [(String, String)], flag: &str) -> Option<&'a str> {
+    flags
+        .iter()
+        .find(|(f, _)| f == flag)
+        .map(|(_, v)| v.as_str())
+}
+
+/// A command line that matched its command's grammar.
+struct Args {
+    command: &'static Command,
+    positionals: Vec<String>,
+    flags: Flags,
+}
+
+impl Args {
+    /// The value of a flag, if given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        flag_value(&self.flags, flag)
+    }
+
+    /// The value of a flag the command cannot run without.
+    fn required(&self, flag: &str) -> Result<&str, CliError> {
+        self.value(flag)
+            .ok_or_else(|| self.usage(format!("missing {flag}")))
+    }
+
+    /// A numeric flag's value, or `default` when it is absent.
+    fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        match self.value(flag) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| self.usage(format!("bad {flag}: {v}"))),
+            None => Ok(default),
+        }
+    }
+
+    /// A usage error of this command, with its synopsis.
+    fn usage(&self, problem: impl std::fmt::Display) -> CliError {
+        command_usage(self.command, problem)
+    }
+}
+
+fn command_usage(c: &Command, problem: impl std::fmt::Display) -> CliError {
+    CliError::Usage(format!(
+        "{}: {problem}\n  usage: asteria-cli {}",
+        c.name(),
+        c.synopsis
+    ))
+}
+
+fn command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name() == name)
+}
+
+/// A flag, as opposed to a positional: a `-` word that is not a number.
+fn is_flag(arg: &str) -> bool {
+    arg.len() > 1 && arg.starts_with('-') && arg.parse::<i64>().is_err()
+}
+
+/// Parses the whole command line against [`COMMANDS`] and the global
+/// flags. The flags come back even when the line is a usage error, so
+/// teardown still writes the artifacts the global ones ask for.
+fn parse(raw: &[String]) -> (Flags, Result<(&'static Command, Vec<String>), CliError>) {
+    let mut words = Vec::new();
+    let mut positionals = Vec::new();
+    let mut flags = Flags::new();
+    let mut cmd: Option<&'static Command> = None;
+    let mut err = None;
+    let mut it = raw.iter().peekable();
+    while let Some(arg) = it.next() {
+        let a = arg.as_str();
+        let problem = if !is_flag(a) {
+            if cmd.is_some() {
+                positionals.push(arg.clone());
+                None
+            } else {
+                words.push(a);
+                let name = words.join(" ");
+                cmd = command(&name);
+                let prefix = COMMANDS
+                    .iter()
+                    .any(|c| c.name().starts_with(&format!("{name} ")));
+                (cmd.is_none() && !prefix).then(|| format!("unknown command `{name}`"))
+            }
+        } else if flag_value(&flags, a).is_some() {
+            Some(format!("`{a}` is given twice"))
+        } else if let Some(takes_value) = flag_takes_value(GLOBAL_SYNOPSIS, a)
+            .or_else(|| cmd.and_then(|c| flag_takes_value(c.synopsis, a)))
+        {
+            let value = match takes_value {
+                true => it.next_if(|v| !is_flag(v)).cloned(),
+                false => Some(String::new()),
+            };
+            let problem = value.is_none().then(|| format!("`{a}` needs a value"));
+            flags.push((arg.clone(), value.unwrap_or_default()));
+            problem
+        } else {
+            Some(format!("unknown flag `{a}`"))
+        };
+        if let Some(problem) = problem {
+            err.get_or_insert_with(|| match cmd {
+                Some(c) => command_usage(c, problem),
+                None => CliError::Usage(format!("{problem} (try `asteria-cli help`)")),
+            });
+        }
+    }
+    let parsed = match (err, cmd) {
+        (Some(e), _) => Err(e),
+        (None, Some(c)) if c.positionals.contains(&positionals.len()) => Ok((c, positionals)),
+        (None, Some(c)) => Err(command_usage(
+            c,
+            format!("wrong number of arguments ({})", positionals.len()),
+        )),
+        (None, None) if words.is_empty() => Ok((command("help").expect("listed"), positionals)),
+        (None, None) => Err(CliError::Usage(format!(
+            "`{}` needs a subcommand (try `asteria-cli help`)",
+            words.join(" ")
+        ))),
+    };
+    (flags, parsed)
 }
 
 /// Writes the requested observability artifacts from the global
 /// collector. Metrics carry wall-clock timings, so these files are the
 /// only outputs allowed to differ between otherwise identical runs.
-fn write_obs_outputs(flags: &GlobalFlags) -> Result<(), String> {
+fn write_obs_outputs(flags: &[(String, String)]) -> Result<(), String> {
     let Some(c) = asteria::obs::collector() else {
         return Ok(());
     };
-    if let Some(path) = &flags.metrics_out {
+    if let Some(path) = flag_value(flags, "--metrics-out") {
         fs::write(path, c.render_prometheus()).map_err(|e| format!("{path}: {e}"))?;
     }
-    if let Some(path) = &flags.trace {
+    if let Some(path) = flag_value(flags, "--trace") {
         fs::write(path, c.render_trace_jsonl()).map_err(|e| format!("{path}: {e}"))?;
     }
-    if asteria::obs::verbosity() == asteria::obs::Verbosity::Verbose {
+    if asteria::obs::verbosity() == Verbosity::Verbose {
         eprint!("{}", c.render_summary());
     }
     Ok(())
@@ -129,13 +319,23 @@ fn write_obs_outputs(flags: &GlobalFlags) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, args, flag_err) = extract_global_flags(raw);
-    if flags.wants_recording() {
+    let (flags, parsed) = parse(&raw);
+    let given = |flag| flag_value(&flags, flag).is_some();
+    if given("--quiet") {
+        asteria::obs::set_verbosity(Verbosity::Quiet);
+    } else if given("--verbose") {
+        asteria::obs::set_verbosity(Verbosity::Verbose);
+    }
+    if given("--metrics-out") || given("--trace") {
         asteria::obs::install().reset();
     }
-    let result = match flag_err {
-        Some(e) => Err(e),
-        None => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatch(&args))) {
+    let result = parsed.and_then(|(command, positionals)| {
+        let args = Args {
+            command,
+            positionals,
+            flags: flags.clone(),
+        };
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&args))) {
             Ok(result) => result,
             Err(payload) => {
                 // A panic exits through the same teardown as every other
@@ -143,42 +343,29 @@ fn main() -> ExitCode {
                 let _ = write_obs_outputs(&flags);
                 std::panic::resume_unwind(payload);
             }
-        },
-    };
+        }
+    });
     teardown(&flags, result)
 }
 
-fn dispatch(args: &[String]) -> Result<(), CliError> {
-    match args.first().map(String::as_str) {
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("disasm") => cmd_disasm(&args[1..]),
-        Some("decompile") => cmd_decompile(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("strip") => cmd_strip(&args[1..]),
-        Some("train") => cmd_train(&args[1..]),
-        Some("similarity") => cmd_similarity(&args[1..]),
-        Some("index") => cmd_index(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("help") | None => {
-            print_usage();
-            Ok(())
-        }
-        Some(other) => Err(CliError::usage(format!(
-            "unknown command `{other}` (try `asteria-cli help`)"
-        ))),
-    }
+/// Runs the parsed command against stdout. The handle is not held
+/// locked: `serve --stdio` writes its responses from another thread.
+fn run(args: &Args) -> Result<(), CliError> {
+    let mut out = io::stdout();
+    (args.command.run)(args, &mut out)?;
+    out.flush()?;
+    Ok(())
 }
 
 /// The single exit path: every outcome — success, data error, usage
 /// error, even a bad global flag — flushes `--metrics-out`/`--trace`
 /// before the exit code is chosen. A partial trace is exactly what a
 /// failure post-mortem needs.
-fn teardown(flags: &GlobalFlags, result: Result<(), CliError>) -> ExitCode {
+fn teardown(flags: &[(String, String)], result: Result<(), CliError>) -> ExitCode {
     let wrote = write_obs_outputs(flags);
     match (result, wrote) {
-        (Ok(()), Ok(())) => ExitCode::SUCCESS,
-        (Ok(()), Err(e)) | (Err(CliError::Data(e)), _) => {
+        (Ok(()) | Err(CliError::StdoutClosed), Ok(())) => ExitCode::SUCCESS,
+        (Ok(()) | Err(CliError::StdoutClosed), Err(e)) | (Err(CliError::Data(e)), _) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
@@ -189,54 +376,16 @@ fn teardown(flags: &GlobalFlags, result: Result<(), CliError>) -> ExitCode {
     }
 }
 
-fn print_usage() {
-    eprintln!(
-        "asteria-cli — cross-platform binary code similarity toolkit\n\n\
-         commands:\n\
-         \x20 compile   <src.mc> --arch x86|x64|arm|ppc -o <out.sbf>\n\
-         \x20 info      <bin.sbf>\n\
-         \x20 disasm    <bin.sbf> [--function NAME]\n\
-         \x20 decompile <bin.sbf> [--function NAME]\n\
-         \x20 run       <bin.sbf> <function> [int args…]\n\
-         \x20 strip     <bin.sbf> -o <out.sbf>\n\
-         \x20 train     -o <model.bin> [--packages N] [--epochs E]\n\
-         \x20 similarity <a.sbf>:<func> <b.sbf>:<func> [--model model.bin]\n\
-         \x20 index build -o <index.asix> [--model model.bin] [--images N] [--seed S] [--threads N]\n\
-         \x20 index info  <index.asix>\n\
-         \x20 serve     --listen ADDR | --stdio [--model M] [--index I.asix] [--images N] [--seed S]\n\
-         \x20           [--threads N] [--batch-size N] [--batch-wait-ms MS] [--queue-capacity N]\n\
-         \x20           [--deadline-ms MS] [--max-request-bytes N]\n\n\
-         global flags (any command):\n\
-         \x20 --quiet | --verbose      stderr verbosity\n\
-         \x20 --metrics-out FILE       write Prometheus-style metrics\n\
-         \x20 --trace FILE             write a JSONL span/event trace"
-    );
-}
-
-/// Fetches the value following a `--flag` (or `-o`) option.
-fn opt_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.windows(2)
-        .find(|w| w[0] == flag)
-        .map(|w| w[1].as_str())
-}
-
-/// Positional arguments: everything not part of a flag pair.
-fn positionals(args: &[String]) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with('-') {
-            // Flags take a value except boolean-style ones (none today).
-            skip = i + 1 < args.len();
-            continue;
-        }
-        out.push(a.as_str());
+fn cmd_help(_: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    writeln!(
+        out,
+        "asteria-cli — cross-platform binary code similarity toolkit\n\ncommands:"
+    )?;
+    for c in COMMANDS {
+        writeln!(out, "  {}", c.synopsis)?;
     }
-    out
+    writeln!(out, "\nglobal flags (any command): {GLOBAL_SYNOPSIS}")?;
+    Ok(())
 }
 
 fn load_binary(path: &str) -> Result<Binary, String> {
@@ -244,46 +393,60 @@ fn load_binary(path: &str) -> Result<Binary, String> {
     Binary::load(bytes.as_slice()).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), CliError> {
-    let pos = positionals(args);
-    let src_path = pos
-        .first()
-        .ok_or_else(|| CliError::usage("usage: compile <src.mc> --arch A -o OUT"))?;
-    let arch_name = opt_value(args, "--arch").unwrap_or("x86");
+/// The symbol index of the function `name` defined in `b`. An external
+/// symbol of that name has no code to run, disassemble or score.
+fn function_symbol(b: &Binary, name: &str) -> Result<usize, String> {
+    match b.symbols.iter().position(|s| s.display_name() == name) {
+        None => Err(format!("no function named {name}")),
+        Some(i) if b.symbols[i].kind == SymbolKind::External => {
+            Err(format!("`{name}` is an external symbol, not a function"))
+        }
+        Some(i) => Ok(i),
+    }
+}
+
+/// The functions `disasm`/`decompile` print: the `--function`, or all.
+fn selected_functions(args: &Args, b: &Binary) -> Result<Vec<usize>, String> {
+    match args.value("--function") {
+        Some(name) => Ok(vec![function_symbol(b, name)?]),
+        None => Ok(b.function_indices()),
+    }
+}
+
+fn cmd_compile(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let src_path = &args.positionals[0];
+    let arch_name = args.value("--arch").unwrap_or("x86");
     let arch = Arch::from_name(arch_name)
-        .ok_or_else(|| CliError::usage(format!("unknown architecture {arch_name}")))?;
-    let out = opt_value(args, "-o")
-        .or(opt_value(args, "--out"))
-        .ok_or_else(|| CliError::usage("missing -o OUT"))?;
+        .ok_or_else(|| args.usage(format!("unknown architecture {arch_name}")))?;
+    let dest = args.required("-o")?;
     let src = fs::read_to_string(src_path).map_err(|e| format!("{src_path}: {e}"))?;
     let program = asteria::lang::parse(&src).map_err(|e| e.to_string())?;
     let binary = compile_program(&program, arch).map_err(|e| e.to_string())?;
     let mut buf = Vec::new();
     binary.save(&mut buf).map_err(|e| e.to_string())?;
-    fs::write(out, buf).map_err(|e| format!("{out}: {e}"))?;
-    println!(
+    fs::write(dest, buf).map_err(|e| format!("{dest}: {e}"))?;
+    writeln!(
+        out,
         "compiled {} functions for {} → {} ({} bytes of code)",
         binary.function_indices().len(),
         arch,
-        out,
+        dest,
         binary.code_size()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_info(args: &[String]) -> Result<(), CliError> {
-    let pos = positionals(args);
-    let path = pos
-        .first()
-        .ok_or_else(|| CliError::usage("usage: info <bin.sbf>"))?;
-    let b = load_binary(path)?;
-    println!("{b}");
-    println!(
+fn cmd_info(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let b = load_binary(&args.positionals[0])?;
+    writeln!(out, "{b}")?;
+    writeln!(
+        out,
         "{:<6} {:<10} {:<28} {:>8} {:>7} {:>7}",
         "idx", "kind", "name", "offset", "bytes", "params"
-    );
+    )?;
     for (i, s) in b.symbols.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "{:<6} {:<10} {:<28} {:>8x} {:>7} {:>7}",
             i,
             match s.kind {
@@ -294,114 +457,61 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
             s.offset,
             s.code.len(),
             s.param_count
-        );
+        )?;
     }
     Ok(())
 }
 
-fn resolve_function(b: &Binary, name: Option<&str>) -> Result<Vec<usize>, String> {
-    match name {
-        Some(n) => {
-            let idx = b
-                .symbols
-                .iter()
-                .position(|s| s.display_name() == n)
-                .ok_or_else(|| format!("no function named {n}"))?;
-            Ok(vec![idx])
-        }
-        None => Ok(b.function_indices()),
-    }
-}
-
-fn cmd_disasm(args: &[String]) -> Result<(), CliError> {
-    let pos = positionals(args);
-    let path = pos
-        .first()
-        .ok_or_else(|| CliError::usage("usage: disasm <bin.sbf> [--function NAME]"))?;
-    let b = load_binary(path)?;
-    for idx in resolve_function(&b, opt_value(args, "--function"))? {
+fn cmd_disasm(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let b = load_binary(&args.positionals[0])?;
+    for idx in selected_functions(args, &b)? {
         let s = &b.symbols[idx];
-        if s.kind != SymbolKind::Function {
-            continue;
-        }
-        println!("{} <{}>:", b.arch, s.display_name());
+        writeln!(out, "{} <{}>:", b.arch, s.display_name())?;
         let insts = decode_function(&s.code, b.arch).map_err(|e| e.to_string())?;
         for (i, inst) in insts.iter().enumerate() {
-            println!("  {i:>4}: {inst}");
+            writeln!(out, "  {i:>4}: {inst}")?;
         }
-        println!();
+        writeln!(out)?;
     }
     Ok(())
 }
 
-fn cmd_decompile(args: &[String]) -> Result<(), CliError> {
-    let pos = positionals(args);
-    let path = pos
-        .first()
-        .ok_or_else(|| CliError::usage("usage: decompile <bin.sbf> [--function NAME]"))?;
-    let b = load_binary(path)?;
-    for idx in resolve_function(&b, opt_value(args, "--function"))? {
-        if b.symbols[idx].kind != SymbolKind::Function {
-            continue;
-        }
+fn cmd_decompile(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let b = load_binary(&args.positionals[0])?;
+    for idx in selected_functions(args, &b)? {
         let f = decompile_function(&b, idx).map_err(|e| e.to_string())?;
-        print!("{}", render_function(&f, &b));
-        println!();
+        writeln!(out, "{}", render_function(&f, &b))?;
     }
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let pos = positionals(args);
-    if pos.len() < 2 {
-        return Err(CliError::usage(
-            "usage: run <bin.sbf> <function> [int args…]",
-        ));
-    }
-    let b = load_binary(pos[0])?;
-    let sym = b
-        .symbols
-        .iter()
-        .position(|s| s.display_name() == pos[1])
-        .ok_or_else(|| format!("no function named {}", pos[1]))?;
-    let call_args: Result<Vec<i64>, _> = pos[2..].iter().map(|a| a.parse::<i64>()).collect();
-    let call_args = call_args.map_err(|e| CliError::usage(format!("bad argument: {e}")))?;
+fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let b = load_binary(&args.positionals[0])?;
+    let sym = function_symbol(&b, &args.positionals[1])?;
+    let call_args: Result<Vec<i64>, _> = args.positionals[2..].iter().map(|a| a.parse()).collect();
+    let call_args = call_args.map_err(|e| args.usage(format!("bad argument: {e}")))?;
     let result = Vm::new(&b)
         .call(sym, &call_args)
         .map_err(|e| e.to_string())?;
-    println!("{result}");
+    writeln!(out, "{result}")?;
     Ok(())
 }
 
-fn cmd_strip(args: &[String]) -> Result<(), CliError> {
-    let pos = positionals(args);
-    let path = pos
-        .first()
-        .ok_or_else(|| CliError::usage("usage: strip <bin.sbf> -o OUT"))?;
-    let out = opt_value(args, "-o")
-        .or(opt_value(args, "--out"))
-        .ok_or_else(|| CliError::usage("missing -o OUT"))?;
-    let mut b = load_binary(path)?;
+fn cmd_strip(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let dest = args.required("-o")?;
+    let mut b = load_binary(&args.positionals[0])?;
     b.strip();
     let mut buf = Vec::new();
     b.save(&mut buf).map_err(|e| e.to_string())?;
-    fs::write(out, buf).map_err(|e| format!("{out}: {e}"))?;
-    println!("stripped → {out}");
+    fs::write(dest, buf).map_err(|e| format!("{dest}: {e}"))?;
+    writeln!(out, "stripped → {dest}")?;
     Ok(())
 }
 
-fn cmd_train(args: &[String]) -> Result<(), CliError> {
-    check_flags(
-        "train",
-        args,
-        &["-o", "--out", "--packages", "--epochs"],
-        &[],
-    )?;
-    let out = opt_value(args, "-o")
-        .or(opt_value(args, "--out"))
-        .ok_or_else(|| CliError::usage("missing -o MODEL"))?;
-    let packages: usize = num_opt(args, "--packages", 8)?;
-    let epochs: usize = num_opt(args, "--epochs", 8)?;
+fn cmd_train(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let dest = args.required("-o")?;
+    let packages: usize = args.number("--packages", 8)?;
+    let epochs: usize = args.number("--epochs", 8)?;
     asteria::obs::info!("building corpus ({packages} packages × 4 ISAs)…");
     let corpus = build_corpus(&CorpusConfig {
         packages,
@@ -421,24 +531,13 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
         },
         None,
     );
-    fs::write(out, model.snapshot()).map_err(|e| format!("{out}: {e}"))?;
-    println!(
-        "saved model to {out} (final loss {:.4})",
+    fs::write(dest, model.snapshot()).map_err(|e| format!("{dest}: {e}"))?;
+    writeln!(
+        out,
+        "saved model to {dest} (final loss {:.4})",
         stats.last().map(|s| s.mean_loss).unwrap_or(f32::NAN)
-    );
+    )?;
     Ok(())
-}
-
-/// `index build` / `index info`: the persistent ASIX embedding cache.
-fn cmd_index(args: &[String]) -> Result<(), CliError> {
-    match args.first().map(String::as_str) {
-        Some("build") => cmd_index_build(&args[1..]),
-        Some("info") => cmd_index_info(&args[1..]),
-        other => Err(CliError::usage(format!(
-            "usage: index build|info …, got {:?}",
-            other.unwrap_or("nothing")
-        ))),
-    }
 }
 
 /// Loads model weights from a file into a default-config model,
@@ -455,95 +554,76 @@ fn load_model(path: Option<&str>) -> Result<AsteriaModel, CliError> {
     Ok(model)
 }
 
-fn cmd_index_build(args: &[String]) -> Result<(), CliError> {
-    check_flags(
-        "index build",
-        args,
-        &["-o", "--out", "--model", "--images", "--seed", "--threads"],
-        &[],
-    )?;
-    let out = opt_value(args, "-o")
-        .or(opt_value(args, "--out"))
-        .ok_or_else(|| CliError::usage("missing -o INDEX"))?;
-    let images: usize = num_opt(args, "--images", 6)?;
-    let seed: u64 = num_opt(args, "--seed", 77)?;
-    let threads: usize = num_opt(args, "--threads", 0)?;
-    let model = load_model(opt_value(args, "--model"))?;
+/// The search index `index build` and `serve` share: the `--model`
+/// weights over the `--images`/`--seed` firmware corpus, encoded on
+/// `--threads` workers. A `cache` path seeds the incremental build from
+/// the ASIX index there (a corrupt one costs a cold rebuild, never the
+/// run) and persists the refreshed cache back. Returns the model, the
+/// image count and the build.
+fn build_index(
+    args: &Args,
+    cache: Option<&str>,
+) -> Result<(AsteriaModel, usize, IndexBuild), CliError> {
+    let config = FirmwareConfig {
+        images: args.number("--images", 6)?,
+        seed: args.number("--seed", 77)?,
+        ..Default::default()
+    };
+    let threads = args.number("--threads", 0)?;
+    let model = load_model(args.value("--model"))?;
+    let firmware = build_firmware_corpus(&config, &vulnerability_library());
+    let mut builder = IndexBuilder::new(&model).threads(threads);
+    if let Some(path) = cache {
+        builder = builder.cache(path);
+    }
+    let build = builder.build(&firmware).map_err(|e| e.to_string())?;
+    Ok((model, firmware.len(), build))
+}
 
-    let firmware = build_firmware_corpus(
-        &FirmwareConfig {
-            images,
-            seed,
-            ..Default::default()
-        },
-        &vulnerability_library(),
-    );
-    // `.cache(out)` seeds the incremental build from an existing index at
-    // the output path (a corrupt one costs a cold rebuild, never the
-    // run) and persists the refreshed cache back when the build is done.
-    let build = IndexBuilder::new(&model)
-        .threads(threads)
-        .cache(out)
-        .build(&firmware)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "indexed {} functions from {} images ({})",
+fn cmd_index_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let dest = args.required("-o")?;
+    let (_, images, build) = build_index(args, Some(dest))?;
+    writeln!(
+        out,
+        "indexed {} functions from {images} images ({})",
         build.index.len(),
-        firmware.len(),
         build.index.extraction
-    );
-    println!("embedding cache: {}", build.stats);
-    println!(
-        "wrote {out}: {} cached binaries, {} cached functions",
+    )?;
+    writeln!(out, "embedding cache: {}", build.stats)?;
+    writeln!(
+        out,
+        "wrote {dest}: {} cached binaries, {} cached functions",
         build.cache.len(),
         build.cache.function_count()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_index_info(args: &[String]) -> Result<(), CliError> {
-    let pos = positionals(args);
-    let path = pos
-        .first()
-        .ok_or_else(|| CliError::usage("usage: index info <index.asix>"))?;
+fn cmd_index_info(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let path = &args.positionals[0];
     let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let cache = IndexCache::load(bytes.as_slice()).map_err(|e| format!("{path}: {e}"))?;
-    println!("ASIX index {path} (format v{ASIX_VERSION})");
-    println!("model weights digest:  {:#018x}", cache.model_digest);
-    println!("extraction params:     {:#018x}", cache.params_digest);
-    println!("cached binaries:       {}", cache.len());
-    println!("cached functions:      {}", cache.function_count());
+    writeln!(out, "ASIX index {path} (format v{ASIX_VERSION})")?;
+    writeln!(out, "model weights digest:  {:#018x}", cache.model_digest)?;
+    writeln!(out, "extraction params:     {:#018x}", cache.params_digest)?;
+    writeln!(out, "cached binaries:       {}", cache.len())?;
+    writeln!(out, "cached functions:      {}", cache.function_count())?;
     Ok(())
 }
 
-fn parse_target(spec: &str) -> Result<(&str, &str), CliError> {
-    spec.split_once(':')
-        .ok_or_else(|| CliError::usage(format!("expected <file.sbf>:<function>, got {spec}")))
-}
+fn cmd_similarity(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let target = |spec: &str| -> Result<(Binary, String, usize), CliError> {
+        let (path, func) = spec
+            .split_once(':')
+            .ok_or_else(|| args.usage(format!("expected <file.sbf>:<function>, got {spec}")))?;
+        let b = load_binary(path)?;
+        let sym = function_symbol(&b, func).map_err(|e| format!("{path}: {e}"))?;
+        Ok((b, func.to_string(), sym))
+    };
+    let (ba, func_a, sym_a) = target(&args.positionals[0])?;
+    let (bb, func_b, sym_b) = target(&args.positionals[1])?;
 
-fn cmd_similarity(args: &[String]) -> Result<(), CliError> {
-    let pos = positionals(args);
-    if pos.len() < 2 {
-        return Err(CliError::usage(
-            "usage: similarity <a.sbf>:<func> <b.sbf>:<func> [--model M]",
-        ));
-    }
-    let (path_a, func_a) = parse_target(pos[0])?;
-    let (path_b, func_b) = parse_target(pos[1])?;
-    let ba = load_binary(path_a)?;
-    let bb = load_binary(path_b)?;
-    let sym_a = ba
-        .symbols
-        .iter()
-        .position(|s| s.display_name() == func_a)
-        .ok_or_else(|| format!("{path_a}: no function {func_a}"))?;
-    let sym_b = bb
-        .symbols
-        .iter()
-        .position(|s| s.display_name() == func_b)
-        .ok_or_else(|| format!("{path_b}: no function {func_b}"))?;
-
-    let model_path = opt_value(args, "--model");
+    let model_path = args.value("--model");
     if model_path.is_none() {
         asteria::obs::info!(
             "note: scoring with untrained weights (pass --model for a trained one)"
@@ -557,66 +637,19 @@ fn cmd_similarity(args: &[String]) -> Result<(), CliError> {
     let eb = asteria::core::encode_function(&model, &fb);
     let m = model.similarity_from_encodings(&ea.vector, &eb.vector);
     let f = function_similarity(&model, &ea, &eb);
-    println!(
+    writeln!(
+        out,
         "{func_a} [{}; {} nodes]  vs  {func_b} [{}; {} nodes]",
         ba.arch, fa.ast_size, bb.arch, fb.ast_size
-    );
-    println!("AST similarity M(T1,T2)       = {m:.4}");
-    println!(
+    )?;
+    writeln!(out, "AST similarity M(T1,T2)       = {m:.4}")?;
+    writeln!(
+        out,
         "calibrated similarity F(F1,F2) = {f:.4}  (callees {} vs {})",
         fa.callee_count, fb.callee_count
-    );
+    )?;
     Ok(())
 }
-
-/// Rejects any argument of `cmd` that is not one of its `value_flags`
-/// (each followed by its value) or `bool_flags`: a mistyped or retired
-/// flag must not silently fall back to a default.
-fn check_flags(
-    cmd: &str,
-    args: &[String],
-    value_flags: &[&str],
-    bool_flags: &[&str],
-) -> Result<(), CliError> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if value_flags.contains(&a.as_str()) {
-            if it.next().is_none() {
-                return Err(CliError::usage(format!("{cmd}: `{a}` needs a value")));
-            }
-        } else if !bool_flags.contains(&a.as_str()) {
-            return Err(CliError::usage(format!(
-                "{cmd}: unknown argument `{a}` (try `asteria-cli help`)"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Parses a numeric `--flag N`, falling back to `default` when absent.
-fn num_opt<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, CliError> {
-    match opt_value(args, flag) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("bad {flag}: {v}"))),
-        None => Ok(default),
-    }
-}
-
-/// The value-taking flags `serve` accepts; `--stdio` takes none.
-const SERVE_FLAGS: &[&str] = &[
-    "--listen",
-    "--model",
-    "--index",
-    "--images",
-    "--seed",
-    "--threads",
-    "--batch-size",
-    "--batch-wait-ms",
-    "--queue-capacity",
-    "--deadline-ms",
-    "--max-request-bytes",
-];
 
 /// `serve`: the long-running similarity-query daemon. Loads the model
 /// and builds (or restores, with `--index`) the search index **once**,
@@ -624,65 +657,45 @@ const SERVE_FLAGS: &[&str] = &[
 /// or stdin/stdout (`--stdio`) until EOF, a `shutdown` op, or
 /// SIGINT/SIGTERM — at which point it drains in-flight requests before
 /// exiting, so the usual teardown still flushes `--metrics-out`/`--trace`.
-fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    check_flags("serve", args, SERVE_FLAGS, &["--stdio"])?;
-    let stdio = args.iter().any(|a| a == "--stdio");
-    let listen = opt_value(args, "--listen");
+fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let stdio = args.value("--stdio").is_some();
+    let listen = args.value("--listen");
     if stdio == listen.is_some() {
-        return Err(CliError::usage(
-            "serve needs exactly one of --listen ADDR or --stdio",
-        ));
+        return Err(args.usage("needs exactly one of --listen ADDR or --stdio"));
     }
     let defaults = ServeConfig::default();
     let config = ServeConfig {
-        batch_size: num_opt(args, "--batch-size", defaults.batch_size)?,
-        batch_wait_ms: num_opt(args, "--batch-wait-ms", defaults.batch_wait_ms)?,
-        queue_capacity: num_opt(args, "--queue-capacity", defaults.queue_capacity)?,
-        default_deadline_ms: num_opt(args, "--deadline-ms", defaults.default_deadline_ms)?,
-        max_request_bytes: num_opt(args, "--max-request-bytes", defaults.max_request_bytes)?,
+        batch_size: args.number("--batch-size", defaults.batch_size)?,
+        batch_wait_ms: args.number("--batch-wait-ms", defaults.batch_wait_ms)?,
+        queue_capacity: args.number("--queue-capacity", defaults.queue_capacity)?,
+        default_deadline_ms: args.number("--deadline-ms", defaults.default_deadline_ms)?,
+        max_request_bytes: args.number("--max-request-bytes", defaults.max_request_bytes)?,
         ..defaults
     };
-    let images: usize = num_opt(args, "--images", 6)?;
-    let seed: u64 = num_opt(args, "--seed", 77)?;
-    let threads: usize = num_opt(args, "--threads", 0)?;
-
-    let model = load_model(opt_value(args, "--model"))?;
-    let firmware = build_firmware_corpus(
-        &FirmwareConfig {
-            images,
-            seed,
-            ..Default::default()
-        },
-        &vulnerability_library(),
-    );
-    let mut builder = IndexBuilder::new(&model).threads(threads);
-    if let Some(path) = opt_value(args, "--index") {
-        builder = builder.cache(path);
-    }
-    let build = builder.build(&firmware).map_err(|e| e.to_string())?;
+    let (model, images, build) = build_index(args, args.value("--index"))?;
     asteria::obs::info!(
-        "index ready: {} functions from {} images ({})",
+        "index ready: {} functions from {images} images ({})",
         build.index.len(),
-        firmware.len(),
         build.stats
     );
+    let threads = args.number("--threads", 0)?;
     let session = Arc::new(SearchSession::new(model, build.index).threads(threads));
 
     serve::signal::install_handlers();
-    let stats = if stdio {
+    let stats = match listen {
         // Responses own stdout in stdio mode; status goes to stderr.
-        serve::run_stdio(session, config, std::io::stdin().lock(), std::io::stdout())
-    } else {
-        let addr = listen.expect("checked above");
-        let listener =
-            TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-        let handle = serve::start_tcp(session, config, listener).map_err(|e| e.to_string())?;
-        // Announce the bound address on stdout (and flush past any block
-        // buffering) so `--listen 127.0.0.1:0` callers can discover the
-        // kernel-assigned port.
-        println!("listening on {}", handle.local_addr());
-        let _ = std::io::stdout().flush();
-        handle.wait()
+        None => serve::run_stdio(session, config, io::stdin().lock(), io::stdout()),
+        Some(addr) => {
+            let listener =
+                TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+            let handle = serve::start_tcp(session, config, listener).map_err(|e| e.to_string())?;
+            // Announce the bound address on stdout (and flush past any
+            // block buffering) so `--listen 127.0.0.1:0` callers can
+            // discover the kernel-assigned port.
+            writeln!(out, "listening on {}", handle.local_addr())?;
+            out.flush()?;
+            handle.wait()
+        }
     };
     asteria::obs::info!(
         "serve: {} responses ({} ok, {} query errors, {} malformed, {} oversized, \

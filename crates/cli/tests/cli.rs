@@ -546,3 +546,186 @@ fn corrupt_code_reports_decode_offset() {
         "{err}"
     );
 }
+
+/// Compiles the demo source for ARM into a fresh binary.
+fn compile_demo(name: &str) -> PathBuf {
+    let src = write_demo();
+    let bin = temp_path(name);
+    let out = cli()
+        .args(["compile", src.to_str().unwrap(), "--arch", "arm", "-o"])
+        .arg(&bin)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    bin
+}
+
+#[test]
+fn run_passes_negative_integer_arguments() {
+    let bin = compile_demo("negative_arm.sbf");
+    let out = cli()
+        .args(["run", bin.to_str().unwrap(), "double_it", "-5"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "-10");
+}
+
+#[test]
+fn every_command_rejects_a_misspelled_flag_with_exit_2() {
+    let src = write_demo();
+    let bin = compile_demo("misspelled_arm.sbf");
+    let dest = temp_path("misspelled_out");
+    let (src, bin, dest) = (
+        src.to_str().unwrap(),
+        bin.to_str().unwrap(),
+        dest.to_str().unwrap(),
+    );
+    let target = format!("{bin}:double_it");
+    for (args, bad) in [
+        (vec!["compile", src, "--ach", "arm", "-o", dest], "--ach"),
+        (vec!["info", bin, "--verbos"], "--verbos"),
+        (vec!["disasm", bin, "--functon", "nope"], "--functon"),
+        (vec!["decompile", bin, "--functon", "nope"], "--functon"),
+        (
+            vec!["run", bin, "double_it", "3", "--trcae", "t"],
+            "--trcae",
+        ),
+        (vec!["strip", bin, "--out", dest], "--out"),
+        (vec!["train", "-o", dest, "--epoch", "1"], "--epoch"),
+        (
+            vec!["similarity", &target, &target, "--modle", bin],
+            "--modle",
+        ),
+        (
+            vec!["index", "build", "-o", dest, "--imgaes", "2"],
+            "--imgaes",
+        ),
+        (vec!["index", "info", bin, "--mdoel", bin], "--mdoel"),
+        (
+            vec!["serve", "--stdio", "--batch-wiat-ms", "7"],
+            "--batch-wiat-ms",
+        ),
+    ] {
+        let out = cli().args(&args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} did work");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage error:") && err.contains(bad), "{err}");
+        assert!(
+            err.contains(&format!("usage: asteria-cli {}", args[0])),
+            "{err}"
+        );
+    }
+    assert!(!std::path::Path::new(dest).exists());
+}
+
+#[test]
+fn repeated_and_misplaced_flags_are_usage_errors() {
+    let src = write_demo();
+    let dest = temp_path("repeated.sbf");
+    for flag in [["--arch", "arm"], ["--quiet", "--quiet"]] {
+        let out = cli()
+            .args(["compile", src.to_str().unwrap(), "--arch", "x86", "-o"])
+            .arg(&dest)
+            .args(flag)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("usage error:") && err.contains("twice"),
+            "{err}"
+        );
+    }
+    assert!(!dest.exists());
+    // A flag where a value belongs, an unknown subcommand, a missing
+    // positional, and a command flag before its command.
+    for args in [
+        vec!["train", "-o", "--epochs", "3"],
+        vec!["index", "frob"],
+        vec!["similarity", "a.sbf:f"],
+        vec!["--images", "2", "index", "build", "-o", "never.asix"],
+    ] {
+        let out = cli().args(&args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage error:"));
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let bin = compile_demo("closed_stdout_arm.sbf");
+    let bin = bin.to_str().unwrap();
+    let prom = temp_path("closed_stdout.prom");
+    let _ = std::fs::remove_file(&prom);
+    for args in [
+        vec!["decompile", bin],
+        vec!["disasm", bin],
+        vec!["info", bin],
+        vec!["run", bin, "double_it", "4"],
+        vec!["help"],
+        vec![
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--images",
+            "1",
+            "--quiet",
+        ],
+        vec!["decompile", bin, "--metrics-out", prom.to_str().unwrap()],
+    ] {
+        // The reader end is gone before the command starts, so its first
+        // write to stdout fails with a broken pipe.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = cli().args(&args).stdout(writer).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
+    let metrics = std::fs::read_to_string(&prom).expect("metrics still written");
+    assert!(metrics.contains("asteria_"), "{metrics}");
+}
+
+#[test]
+fn an_external_symbol_is_not_a_function() {
+    let src = temp_path("external.mc");
+    std::fs::write(&src, "int f(int x) { return ext(x) + 1; }\n").expect("write source");
+    let bin = temp_path("external_arm.sbf");
+    let out = cli()
+        .args(["compile", src.to_str().unwrap(), "--arch", "arm", "-o"])
+        .arg(&bin)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let bin = bin.to_str().unwrap();
+    let (ext, f) = (format!("{bin}:ext"), format!("{bin}:f"));
+    for args in [
+        vec!["disasm", bin, "--function", "ext"],
+        vec!["decompile", bin, "--function", "ext"],
+        vec!["run", bin, "ext", "1"],
+        vec!["similarity", &ext, &f],
+    ] {
+        let out = cli().args(&args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("`ext` is an external symbol, not a function"),
+            "{args:?}: {err}"
+        );
+    }
+}

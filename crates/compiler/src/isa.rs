@@ -215,11 +215,6 @@ impl MInst {
         }
     }
 
-    /// True for call instructions.
-    pub fn is_call(&self) -> bool {
-        matches!(self, MInst::Call { .. })
-    }
-
     /// True for ALU instructions (arithmetic class, used by ACFG features).
     pub fn is_arith(&self) -> bool {
         matches!(
@@ -389,7 +384,6 @@ mod tests {
         assert!(MInst::Jmp(0).is_branch());
         assert!(MInst::Ret.is_branch());
         assert!(!MInst::Nop.is_branch());
-        assert!(MInst::Call { sym: 0, argc: 0 }.is_call());
         assert!(MInst::Alu2(AluOp::Add, Reg(0), Reg(1)).is_arith());
         assert_eq!(MInst::Brnz(Reg(0), 7).branch_target(), Some(7));
         assert_eq!(MInst::Ret.branch_target(), None);

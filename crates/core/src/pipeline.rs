@@ -4,9 +4,7 @@
 use std::fmt;
 
 use asteria_compiler::Binary;
-use asteria_decompiler::{
-    callee_count, decompile_function_with, BudgetKind, DecompileError, DecompileLimits,
-};
+use asteria_decompiler::{callee_count, decompile_function_with, DecompileError, DecompileLimits};
 
 use crate::binarize::{binarize, BinTree};
 use crate::forest::Forest;
@@ -201,19 +199,6 @@ impl ResilientExtraction {
             .filter_map(|o| o.result.ok())
             .collect()
     }
-
-    /// How many skips were due to a specific budget kind.
-    pub fn budget_skips(&self, kind: BudgetKind) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| {
-                matches!(
-                    &o.result,
-                    Err(DecompileError::BudgetExceeded { kind: k, .. }) if *k == kind
-                )
-            })
-            .count()
-    }
 }
 
 /// Extracts every defined function of a binary, degrading per function:
@@ -322,6 +307,7 @@ mod tests {
     use super::*;
     use crate::model::ModelConfig;
     use asteria_compiler::{compile_program, Arch};
+    use asteria_decompiler::BudgetKind;
     use asteria_lang::parse;
 
     const SRC: &str = "int helper(int x) { int s = 0; for (int i = 0; i < x; i++) \
@@ -419,8 +405,13 @@ mod tests {
         };
         let run = extract_binary_resilient_with(&b, DEFAULT_INLINE_BETA, &limits);
         assert_eq!(run.report.over_budget, 2);
-        assert_eq!(run.budget_skips(BudgetKind::Instructions), 2);
-        assert_eq!(run.budget_skips(BudgetKind::AstNodes), 0);
+        assert!(run.failures().all(|(_, e)| matches!(
+            e,
+            DecompileError::BudgetExceeded {
+                kind: BudgetKind::Instructions,
+                ..
+            }
+        )));
         let rendered = run.report.to_string();
         assert!(rendered.contains("2 skipped"), "{rendered}");
         assert!(rendered.contains("2 over budget"), "{rendered}");

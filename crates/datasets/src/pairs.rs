@@ -97,14 +97,6 @@ impl PairSet {
         let test = pairs.split_off(cut.min(pairs.len()));
         (PairSet { pairs }, PairSet { pairs: test })
     }
-
-    /// Per-combination pair counts (Table III's rows).
-    pub fn combination_counts(&self, corpus: &Corpus) -> Vec<((Arch, Arch), usize)> {
-        ARCH_COMBINATIONS
-            .iter()
-            .map(|(a, b)| ((*a, *b), self.for_combination(corpus, *a, *b).len()))
-            .collect()
-    }
 }
 
 /// Samples labelled cross-architecture pairs from a corpus.
@@ -198,7 +190,8 @@ mod tests {
     #[test]
     fn pairs_cover_all_combinations() {
         let (corpus, pairs) = fixture();
-        for ((a, b), n) in pairs.combination_counts(&corpus) {
+        for (a, b) in ARCH_COMBINATIONS {
+            let n = pairs.for_combination(&corpus, a, b).len();
             assert!(n >= 10, "{a}-{b}: only {n} pairs");
         }
     }

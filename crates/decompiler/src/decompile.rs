@@ -489,12 +489,17 @@ mod tests {
     #[test]
     fn generous_budget_matches_unlimited_output() {
         let p = parse(SRC).unwrap();
+        let unbounded = DecompileLimits {
+            max_instructions: usize::MAX,
+            max_basic_blocks: usize::MAX,
+            max_ast_nodes: usize::MAX,
+            max_structure_iters: usize::MAX,
+        };
         for arch in Arch::ALL {
             let b = compile_program(&p, arch).unwrap();
             for i in b.function_indices() {
                 let default = decompile_function(&b, i).unwrap();
-                let explicit =
-                    decompile_function_with(&b, i, &DecompileLimits::unbounded()).unwrap();
+                let explicit = decompile_function_with(&b, i, &unbounded).unwrap();
                 assert_eq!(default, explicit, "{arch}: function {i}");
             }
         }

@@ -63,8 +63,7 @@ impl fmt::Display for BudgetKind {
 /// Per-function resource budget threaded through the decompiler pipeline.
 ///
 /// The [`Default`] limits are far above anything the workspace's own code
-/// generator emits, so they only fire on corrupt or adversarial input;
-/// [`DecompileLimits::unbounded`] disables every check.
+/// generator emits, so they only fire on corrupt or adversarial input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecompileLimits {
     /// Maximum decoded instructions per function.
@@ -88,18 +87,6 @@ impl Default for DecompileLimits {
             max_basic_blocks: 1 << 16,
             max_ast_nodes: 1 << 22,
             max_structure_iters: 1 << 20,
-        }
-    }
-}
-
-impl DecompileLimits {
-    /// A budget that never fires.
-    pub fn unbounded() -> Self {
-        DecompileLimits {
-            max_instructions: usize::MAX,
-            max_basic_blocks: usize::MAX,
-            max_ast_nodes: usize::MAX,
-            max_structure_iters: usize::MAX,
         }
     }
 }

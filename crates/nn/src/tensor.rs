@@ -281,13 +281,6 @@ impl Tensor {
         Tensor::column(&self.data[r * self.cols..(r + 1) * self.cols])
     }
 
-    /// Copies `v` (a `(cols, 1)` vector) into row `r`.
-    pub fn set_row(&mut self, r: usize, v: &Tensor) {
-        assert!(r < self.rows, "row index out of range");
-        assert_eq!(v.shape(), (self.cols, 1), "row shape mismatch");
-        self.data[r * self.cols..(r + 1) * self.cols].copy_from_slice(&v.data);
-    }
-
     /// Adds `v` (a `(cols, 1)` vector) into row `r`.
     pub fn add_row(&mut self, r: usize, v: &Tensor) {
         assert!(r < self.rows, "row index out of range");
@@ -596,7 +589,7 @@ mod tests {
     fn rows_roundtrip() {
         let mut m = Tensor::zeros(3, 4);
         let v = Tensor::column(&[1.0, 2.0, 3.0, 4.0]);
-        m.set_row(1, &v);
+        m.add_row(1, &v);
         assert_eq!(m.row_vector(1), v);
         m.add_row(1, &v);
         assert_eq!(m.row_vector(1).as_slice(), &[2.0, 4.0, 6.0, 8.0]);

@@ -461,11 +461,6 @@ impl StageTimer {
             observe_seconds(name, labels, t0.elapsed().as_secs_f64());
         }
     }
-
-    /// Stops the timer, returning elapsed seconds when it was live.
-    pub fn stop_seconds(self) -> Option<f64> {
-        self.0.map(|t0| t0.elapsed().as_secs_f64())
-    }
 }
 
 #[cfg(test)]
@@ -483,7 +478,7 @@ mod tests {
         counter_add("never", &[], 1);
         gauge_set("never", &[], 1.0);
         observe_seconds("never", &[], 1.0);
-        assert!(timer().stop_seconds().is_none());
+        timer().observe_seconds("never", &[]);
         assert!(current_path().is_none());
         {
             let mut g = span("never");

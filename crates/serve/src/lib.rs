@@ -847,14 +847,16 @@ mod tests {
         );
         let text = String::from_utf8(output).expect("utf8");
         let v = json::parse(text.trim()).expect("parses");
-        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{text}");
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)), "{text}");
         let hits = match v.get("result").and_then(|r| r.get("hits")) {
             Some(Json::Array(hits)) => hits,
             other => panic!("missing hits: {other:?}"),
         };
         assert_eq!(hits.len(), direct.hits.len());
         for (wire, want) in hits.iter().zip(&direct.hits) {
-            let score = wire.get("score").and_then(Json::as_f64).expect("score");
+            let Some(Json::Number(score)) = wire.get("score") else {
+                panic!("missing score: {wire:?}");
+            };
             assert_eq!(score.to_bits(), want.score.to_bits(), "score bits");
             let idx = wire.get("index").and_then(Json::as_u64).expect("index");
             assert_eq!(idx as usize, want.function);
