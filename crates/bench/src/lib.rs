@@ -126,6 +126,7 @@ impl HarnessArgs {
             scale: Scale::Smoke,
             threads: 0,
         };
+        let mut verbosity = None;
         let mut seen = Vec::new();
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
@@ -135,8 +136,9 @@ impl HarnessArgs {
             seen.push(flag);
             let mut value = || it.next().ok_or_else(|| format!("`{flag}` needs a value"));
             match flag.as_str() {
-                "--quiet" => asteria::obs::set_verbosity(asteria::obs::Verbosity::Quiet),
-                "--verbose" => asteria::obs::set_verbosity(asteria::obs::Verbosity::Verbose),
+                // `--quiet` wins over `--verbose`, as it does in `asteria-cli`.
+                "--quiet" => verbosity = Some(asteria::obs::Verbosity::Quiet),
+                "--verbose" => verbosity = verbosity.or(Some(asteria::obs::Verbosity::Verbose)),
                 "--scale" => {
                     args.scale = match value()?.as_str() {
                         "smoke" => Scale::Smoke,
@@ -151,6 +153,9 @@ impl HarnessArgs {
                 }
                 _ => return Err(format!("unknown argument `{flag}`")),
             }
+        }
+        if let Some(v) = verbosity {
+            asteria::obs::set_verbosity(v);
         }
         Ok(args)
     }

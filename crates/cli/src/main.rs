@@ -52,15 +52,22 @@ impl From<String> for CliError {
     }
 }
 
-/// Only writes to stdout reach `?` as a bare `io::Error`: every file
-/// error is mapped to a message naming its path first.
-impl From<io::Error> for CliError {
-    fn from(e: io::Error) -> Self {
-        if e.kind() == io::ErrorKind::BrokenPipe {
-            CliError::StdoutClosed
-        } else {
-            CliError::Data(format!("stdout: {e}"))
-        }
+/// Where a command writes its output: stdout, each write flushed so a
+/// line reaches the reader at once (`serve --listen 127.0.0.1:0` callers
+/// learn the port from its `listening on` line). Write errors become
+/// [`CliError`]s here, the one place that knows they come from stdout.
+/// The handle is not held locked: `serve --stdio` writes its responses
+/// from another thread.
+struct Out(io::Stdout);
+
+impl Out {
+    /// Backs `writeln!` on an `Out`.
+    fn write_fmt(&mut self, args: std::fmt::Arguments) -> Result<(), CliError> {
+        let written = self.0.write_fmt(args).and_then(|()| self.0.flush());
+        written.map_err(|e| match e.kind() {
+            io::ErrorKind::BrokenPipe => CliError::StdoutClosed,
+            _ => CliError::Data(format!("stdout: {e}")),
+        })
     }
 }
 
@@ -75,7 +82,7 @@ struct Command {
     /// How many positional arguments it takes.
     positionals: RangeInclusive<usize>,
     /// The command itself, writing its output to the given stdout.
-    run: fn(&Args, &mut dyn Write) -> Result<(), CliError>,
+    run: fn(&Args, &mut Out) -> Result<(), CliError>,
 }
 
 impl Command {
@@ -348,13 +355,9 @@ fn main() -> ExitCode {
     teardown(&flags, result)
 }
 
-/// Runs the parsed command against stdout. The handle is not held
-/// locked: `serve --stdio` writes its responses from another thread.
+/// Runs the parsed command against stdout.
 fn run(args: &Args) -> Result<(), CliError> {
-    let mut out = io::stdout();
-    (args.command.run)(args, &mut out)?;
-    out.flush()?;
-    Ok(())
+    (args.command.run)(args, &mut Out(io::stdout()))
 }
 
 /// The single exit path: every outcome — success, data error, usage
@@ -376,7 +379,7 @@ fn teardown(flags: &[(String, String)], result: Result<(), CliError>) -> ExitCod
     }
 }
 
-fn cmd_help(_: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_help(_: &Args, out: &mut Out) -> Result<(), CliError> {
     writeln!(
         out,
         "asteria-cli — cross-platform binary code similarity toolkit\n\ncommands:"
@@ -413,7 +416,7 @@ fn selected_functions(args: &Args, b: &Binary) -> Result<Vec<usize>, String> {
     }
 }
 
-fn cmd_compile(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_compile(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let src_path = &args.positionals[0];
     let arch_name = args.value("--arch").unwrap_or("x86");
     let arch = Arch::from_name(arch_name)
@@ -436,7 +439,7 @@ fn cmd_compile(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_info(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_info(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let b = load_binary(&args.positionals[0])?;
     writeln!(out, "{b}")?;
     writeln!(
@@ -462,7 +465,7 @@ fn cmd_info(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_disasm(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_disasm(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let b = load_binary(&args.positionals[0])?;
     for idx in selected_functions(args, &b)? {
         let s = &b.symbols[idx];
@@ -476,7 +479,7 @@ fn cmd_disasm(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_decompile(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_decompile(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let b = load_binary(&args.positionals[0])?;
     for idx in selected_functions(args, &b)? {
         let f = decompile_function(&b, idx).map_err(|e| e.to_string())?;
@@ -485,7 +488,7 @@ fn cmd_decompile(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_run(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let b = load_binary(&args.positionals[0])?;
     let sym = function_symbol(&b, &args.positionals[1])?;
     let call_args: Result<Vec<i64>, _> = args.positionals[2..].iter().map(|a| a.parse()).collect();
@@ -497,7 +500,7 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_strip(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_strip(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let dest = args.required("-o")?;
     let mut b = load_binary(&args.positionals[0])?;
     b.strip();
@@ -508,7 +511,7 @@ fn cmd_strip(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_train(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_train(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let dest = args.required("-o")?;
     let packages: usize = args.number("--packages", 8)?;
     let epochs: usize = args.number("--epochs", 8)?;
@@ -556,12 +559,13 @@ fn load_model(path: Option<&str>) -> Result<AsteriaModel, CliError> {
 
 /// The search index `index build` and `serve` share: the `--model`
 /// weights over the `--images`/`--seed` firmware corpus, encoded on
-/// `--threads` workers. A `cache` path seeds the incremental build from
+/// `threads` workers. A `cache` path seeds the incremental build from
 /// the ASIX index there (a corrupt one costs a cold rebuild, never the
 /// run) and persists the refreshed cache back. Returns the model, the
 /// image count and the build.
 fn build_index(
     args: &Args,
+    threads: usize,
     cache: Option<&str>,
 ) -> Result<(AsteriaModel, usize, IndexBuild), CliError> {
     let config = FirmwareConfig {
@@ -569,7 +573,6 @@ fn build_index(
         seed: args.number("--seed", 77)?,
         ..Default::default()
     };
-    let threads = args.number("--threads", 0)?;
     let model = load_model(args.value("--model"))?;
     let firmware = build_firmware_corpus(&config, &vulnerability_library());
     let mut builder = IndexBuilder::new(&model).threads(threads);
@@ -580,9 +583,10 @@ fn build_index(
     Ok((model, firmware.len(), build))
 }
 
-fn cmd_index_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_index_build(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let dest = args.required("-o")?;
-    let (_, images, build) = build_index(args, Some(dest))?;
+    let threads = args.number("--threads", 0)?;
+    let (_, images, build) = build_index(args, threads, Some(dest))?;
     writeln!(
         out,
         "indexed {} functions from {images} images ({})",
@@ -599,7 +603,7 @@ fn cmd_index_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_index_info(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_index_info(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let path = &args.positionals[0];
     let bytes = fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let cache = IndexCache::load(bytes.as_slice()).map_err(|e| format!("{path}: {e}"))?;
@@ -611,7 +615,7 @@ fn cmd_index_info(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_similarity(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_similarity(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let target = |spec: &str| -> Result<(Binary, String, usize), CliError> {
         let (path, func) = spec
             .split_once(':')
@@ -657,7 +661,7 @@ fn cmd_similarity(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// or stdin/stdout (`--stdio`) until EOF, a `shutdown` op, or
 /// SIGINT/SIGTERM — at which point it drains in-flight requests before
 /// exiting, so the usual teardown still flushes `--metrics-out`/`--trace`.
-fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+fn cmd_serve(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let stdio = args.value("--stdio").is_some();
     let listen = args.value("--listen");
     if stdio == listen.is_some() {
@@ -672,13 +676,13 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         max_request_bytes: args.number("--max-request-bytes", defaults.max_request_bytes)?,
         ..defaults
     };
-    let (model, images, build) = build_index(args, args.value("--index"))?;
+    let threads = args.number("--threads", 0)?;
+    let (model, images, build) = build_index(args, threads, args.value("--index"))?;
     asteria::obs::info!(
         "index ready: {} functions from {images} images ({})",
         build.index.len(),
         build.stats
     );
-    let threads = args.number("--threads", 0)?;
     let session = Arc::new(SearchSession::new(model, build.index).threads(threads));
 
     serve::signal::install_handlers();
@@ -689,11 +693,9 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let listener =
                 TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
             let handle = serve::start_tcp(session, config, listener).map_err(|e| e.to_string())?;
-            // Announce the bound address on stdout (and flush past any
-            // block buffering) so `--listen 127.0.0.1:0` callers can
-            // discover the kernel-assigned port.
+            // Announce the bound address so `--listen 127.0.0.1:0`
+            // callers can discover the kernel-assigned port.
             writeln!(out, "listening on {}", handle.local_addr())?;
-            out.flush()?;
             handle.wait()
         }
     };

@@ -1,6 +1,8 @@
 //! End-to-end tests of the command-line tool, driving the real binary.
 
-use std::path::PathBuf;
+use std::ffi::OsStr;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -8,10 +10,39 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_asteria-cli"))
 }
 
-fn temp_path(name: &str) -> PathBuf {
+/// A file in the temp dir, deleted (if it was ever made) once the test
+/// drops it, so runs of the suite leave nothing behind.
+struct TempPath(PathBuf);
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+impl Deref for TempPath {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempPath {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<OsStr> for TempPath {
+    fn as_ref(&self) -> &OsStr {
+        self.0.as_os_str()
+    }
+}
+
+fn temp_path(name: &str) -> TempPath {
     let mut p = std::env::temp_dir();
     p.push(format!("asteria_cli_test_{}_{name}", std::process::id()));
-    p
+    TempPath(p)
 }
 
 const DEMO: &str = "int double_it(int x) { return x * 2; }\n\
@@ -19,7 +50,7 @@ const DEMO: &str = "int double_it(int x) { return x * 2; }\n\
 
 /// Writes the demo source to a fresh file: tests run concurrently, and
 /// rewriting one shared file let a test compile a half-written copy.
-fn write_demo() -> PathBuf {
+fn write_demo() -> TempPath {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let src = temp_path(&format!("demo{}.mc", NEXT.fetch_add(1, Ordering::Relaxed)));
     std::fs::write(&src, DEMO).expect("write source");
@@ -548,7 +579,7 @@ fn corrupt_code_reports_decode_offset() {
 }
 
 /// Compiles the demo source for ARM into a fresh binary.
-fn compile_demo(name: &str) -> PathBuf {
+fn compile_demo(name: &str) -> TempPath {
     let src = write_demo();
     let bin = temp_path(name);
     let out = cli()

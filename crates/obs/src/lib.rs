@@ -478,6 +478,7 @@ mod tests {
         counter_add("never", &[], 1);
         gauge_set("never", &[], 1.0);
         observe_seconds("never", &[], 1.0);
+        assert!(timer().0.is_none());
         timer().observe_seconds("never", &[]);
         assert!(current_path().is_none());
         {
