@@ -22,30 +22,9 @@ use asteria::core::{AsteriaModel, ModelConfig};
 use asteria::exec::resolve_threads;
 use asteria::vulnsearch::{
     build_firmware_corpus, vulnerability_library, FirmwareConfig, FunctionQuery, IndexBuilder,
-    IndexCache, SearchIndex, SearchSession,
+    IndexCache, SearchSession,
 };
 use asteria_bench::{timed, HarnessArgs, Scale};
-
-/// Strict bit-level equality of two indexes: order, names, ground truth,
-/// encoding bits, and extraction reports.
-fn indexes_identical(a: &SearchIndex, b: &SearchIndex) -> bool {
-    if a.extraction != b.extraction || a.functions.len() != b.functions.len() {
-        return false;
-    }
-    a.functions.iter().zip(&b.functions).all(|(x, y)| {
-        x.image == y.image
-            && x.binary == y.binary
-            && x.name == y.name
-            && x.ground_truth == y.ground_truth
-            && x.encoding.callee_count == y.encoding.callee_count
-            && x.encoding.vector.len() == y.encoding.vector.len()
-            && x.encoding
-                .vector
-                .iter()
-                .zip(&y.encoding.vector)
-                .all(|(p, q)| p.to_bits() == q.to_bits())
-    })
-}
 
 /// The checked-out revision (`git describe --always --dirty`), or `None`
 /// outside a git checkout.
@@ -106,7 +85,7 @@ fn main() {
     let (serial_index, serial_offline) = timed("offline-index(serial)", || build_at(1));
     let (parallel_index, parallel_offline) = timed("offline-index(parallel)", || build_at(threads));
 
-    let identical = indexes_identical(&serial_index, &parallel_index);
+    let identical = serial_index == parallel_index;
 
     // Incremental phase: a cold cached build populates the ASIX cache,
     // then a warm rebuild must serve every binary from it (zero
@@ -120,8 +99,7 @@ fn main() {
         builder.build_into(&firmware, &mut cache)
     });
 
-    let warm_identical = indexes_identical(&cold_index, &warm_index)
-        && indexes_identical(&serial_index, &warm_index);
+    let warm_identical = cold_index == warm_index && serial_index == warm_index;
     let warm_all_hits = warm_stats.misses == 0 && warm_stats.hits == cold_stats.misses;
     let warm_speedup = index_cold / index_warm.max(1e-12);
 
@@ -192,7 +170,7 @@ fn main() {
             }
         }
         assert!(
-            indexes_identical(&indexes[0], &indexes[1]),
+            indexes[0] == indexes[1],
             "recording perturbed the index bits"
         );
     }

@@ -1,9 +1,9 @@
 //! Table IV + the §V end-to-end comparison: vulnerability search over the
 //! firmware corpus, thresholded at the Youden-index operating point, with
-//! Asteria-vs-Gemini top-10 accuracy and end-to-end timing.
+//! Asteria-vs-Gemini top-10 accuracy. Stdout carries only the tables, so
+//! two runs print the same bytes; the phase timings go to stderr.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use asteria::baselines::{extract_acfg, GeminiModel};
 use asteria::compiler::Arch;
@@ -12,7 +12,7 @@ use asteria::vulnsearch::{
     build_firmware_corpus, render_report, top_k_accuracy, vulnerability_library, FirmwareConfig,
     IndexBuilder, SearchSession,
 };
-use asteria_bench::{Experiment, Scale};
+use asteria_bench::{timed, Experiment, Scale};
 
 fn main() {
     let scale = Scale::from_args();
@@ -51,21 +51,28 @@ fn main() {
 
     let threads = asteria::exec::thread_count();
     asteria::obs::info!("[table4] offline/online phases on {threads} worker thread(s)");
-    let t0 = Instant::now();
-    let build = IndexBuilder::new(&exp.asteria)
-        .build(&firmware)
-        .expect("in-memory build cannot fail");
-    let offline = t0.elapsed().as_secs_f64();
+    asteria::obs::install();
+    let (build, offline) = timed("offline-index", || {
+        IndexBuilder::new(&exp.asteria)
+            .build(&firmware)
+            .expect("in-memory build cannot fail")
+    });
     let session = SearchSession::new(Arc::clone(&exp.asteria), build.index);
-    let t1 = Instant::now();
-    let results = match session.run(&firmware, &library, threshold, Arch::X86) {
+    let (results, online) = timed("online-search", || {
+        session.run(&firmware, &library, threshold, Arch::X86)
+    });
+    let results = match results {
         Ok(r) => r,
         Err(e) => {
             asteria::obs::warn!("[table4] error: {e}");
             std::process::exit(1);
         }
     };
-    let online = t1.elapsed().as_secs_f64();
+    asteria::obs::info!(
+        "[table4] offline encode {offline:.1}s for {} functions, search {online:.2}s for {} CVEs",
+        session.index().len(),
+        library.len()
+    );
 
     println!("# Table IV — vulnerability search ({scale:?} scale, threshold {threshold:.2})");
     println!();
@@ -74,8 +81,9 @@ fn main() {
     println!();
     println!(
         "total confirmed vulnerable functions: {total_confirmed} \
-         (offline encode {offline:.1}s for {} functions, search {online:.2}s for 7 CVEs)",
-        session.index().len()
+         ({} functions indexed, {} CVEs searched)",
+        session.index().len(),
+        library.len()
     );
 
     // ---- §V end-to-end comparison vs Gemini -------------------------------
@@ -86,50 +94,55 @@ fn main() {
 
     // Gemini pipeline on the same corpus: embed every firmware function's
     // ACFG, rank against each CVE's ACFG embedding.
-    let t2 = Instant::now();
-    let mut gemini_embeddings = Vec::new();
-    for (ii, img) in firmware.iter().enumerate() {
-        for (bi, binary) in img.binaries.iter().enumerate() {
-            for sym in binary.function_indices() {
-                let acfg = extract_acfg(binary, sym).expect("acfg");
-                let gt = img.ground_truth(bi, &binary.symbols[sym].display_name());
-                gemini_embeddings.push((ii, exp.gemini.embed(&acfg), gt));
+    let ((gemini_hits, gemini_possible), gemini_time) = timed("gemini-search", || {
+        let mut gemini_embeddings = Vec::new();
+        for (ii, img) in firmware.iter().enumerate() {
+            for (bi, binary) in img.binaries.iter().enumerate() {
+                for sym in binary.function_indices() {
+                    let acfg = extract_acfg(binary, sym).expect("acfg");
+                    let gt = img.ground_truth(bi, &binary.symbols[sym].display_name());
+                    gemini_embeddings.push((ii, exp.gemini.embed(&acfg), gt));
+                }
             }
         }
-    }
-    let mut gemini_hits = 0usize;
-    let mut gemini_possible = 0usize;
-    for (cve_index, entry) in library.iter().enumerate() {
-        let program = asteria::lang::parse(&entry.vulnerable_source).expect("parses");
-        let binary = asteria::compiler::compile_program(&program, Arch::X86).expect("compiles");
-        let sym = binary.symbol_index(entry.function).expect("symbol");
-        let q = exp.gemini.embed(&extract_acfg(&binary, sym).expect("acfg"));
-        let mut ranked: Vec<(f32, Option<(usize, bool)>)> = gemini_embeddings
-            .iter()
-            .map(|(_, e, gt)| (GeminiModel::similarity_from_embeddings(&q, e), *gt))
-            .collect();
-        ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let hits = ranked
-            .iter()
-            .take(10)
-            .filter(|(_, gt)| *gt == Some((cve_index, true)))
-            .count();
-        let planted = gemini_embeddings
-            .iter()
-            .filter(|(_, _, gt)| *gt == Some((cve_index, true)))
-            .count();
-        gemini_hits += hits.min(10);
-        gemini_possible += planted.min(10);
-    }
-    let gemini_time = t2.elapsed().as_secs_f64();
+        let mut gemini_hits = 0usize;
+        let mut gemini_possible = 0usize;
+        for (cve_index, entry) in library.iter().enumerate() {
+            let program = asteria::lang::parse(&entry.vulnerable_source).expect("parses");
+            let binary = asteria::compiler::compile_program(&program, Arch::X86).expect("compiles");
+            let sym = binary.symbol_index(entry.function).expect("symbol");
+            let q = exp.gemini.embed(&extract_acfg(&binary, sym).expect("acfg"));
+            let mut ranked: Vec<(f32, Option<(usize, bool)>)> = gemini_embeddings
+                .iter()
+                .map(|(_, e, gt)| (GeminiModel::similarity_from_embeddings(&q, e), *gt))
+                .collect();
+            ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+            let hits = ranked
+                .iter()
+                .take(10)
+                .filter(|(_, gt)| *gt == Some((cve_index, true)))
+                .count();
+            let planted = gemini_embeddings
+                .iter()
+                .filter(|(_, _, gt)| *gt == Some((cve_index, true)))
+                .count();
+            gemini_hits += hits.min(10);
+            gemini_possible += planted.min(10);
+        }
+        (gemini_hits, gemini_possible)
+    });
+    asteria::obs::info!(
+        "[table4] end-to-end seconds: Asteria {:.1}, Gemini {gemini_time:.1}",
+        offline + online
+    );
     let gemini_acc = if gemini_possible == 0 {
         0.0
     } else {
         gemini_hits as f64 / gemini_possible as f64
     };
 
-    println!("| system | top-10 accuracy | end-to-end seconds |");
-    println!("|--------|-----------------|--------------------|");
-    println!("| Asteria | {:.3} | {:.1} |", asteria_acc, offline + online);
-    println!("| Gemini | {gemini_acc:.3} | {gemini_time:.1} |");
+    println!("| system | top-10 accuracy |");
+    println!("|--------|-----------------|");
+    println!("| Asteria | {asteria_acc:.3} |");
+    println!("| Gemini | {gemini_acc:.3} |");
 }

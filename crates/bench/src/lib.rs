@@ -14,7 +14,9 @@
 use std::sync::Arc;
 
 use asteria::baselines::{extract_acfg, train_gemini, Acfg, GeminiConfig, GeminiModel};
-use asteria::core::{calibrated_similarity, train, AsteriaModel, ModelConfig, TrainOptions};
+use asteria::core::{
+    calibrated_similarity, encode_functions, train, AsteriaModel, ModelConfig, TrainOptions,
+};
 use asteria::datasets::{
     build_corpus_with_extra, build_pairs, to_train_pairs, Corpus, CorpusConfig, Pair, PairConfig,
     PairSet,
@@ -330,18 +332,19 @@ pub fn asteria_scores(
     set: &PairSet,
     calibrate: bool,
 ) -> Vec<ScoredPair> {
-    // Encode each referenced instance once, fanning the Tree-LSTM passes
-    // (the expensive part) out over the worker pool; the fan-out is
-    // order-preserving so scores match a serial scan bit for bit.
+    // Encode each referenced instance once, as one forest over the worker
+    // pool; forest encodings are bit-identical to single-tree ones.
     let mut needed: Vec<usize> = set.pairs.iter().flat_map(|p| [p.a, p.b]).collect();
     needed.sort_unstable();
     needed.dedup();
-    let encoded = asteria::exec::par_map_threads(0, &needed, |&i| {
-        model.encode(&corpus.instances[i].extracted.tree)
-    });
+    let functions: Vec<_> = needed
+        .iter()
+        .map(|&i| &corpus.instances[i].extracted)
+        .collect();
+    let encoded = encode_functions(model, &functions, 0);
     let mut enc: Vec<Option<Vec<f32>>> = vec![None; corpus.instances.len()];
-    for (i, v) in needed.into_iter().zip(encoded) {
-        enc[i] = Some(v);
+    for (i, e) in needed.into_iter().zip(encoded) {
+        enc[i] = Some(e.vector);
     }
     let encoding = |i: usize| enc[i].as_deref().expect("encoded above");
     set.pairs

@@ -17,14 +17,13 @@
 
 use asteria_lang::BinOp;
 
+use crate::compile::OptLevel;
 use crate::ir::{BlockId, Inst, IrFunction, LocalId, LocalKind, Term, VReg};
 use crate::isa::{AluOp, Arch, CmpOp, MInst, Mem, Reg};
 
 /// Machine code for one function, before encoding.
 #[derive(Debug, Clone)]
-pub struct MachFunction {
-    /// Symbol name (cleared when a binary is stripped).
-    pub name: String,
+pub(crate) struct MachFunction {
     /// Number of parameters.
     pub param_count: usize,
     /// Emitted instructions; branch targets are instruction indices.
@@ -60,7 +59,7 @@ fn classify_binop(op: BinOp) -> Result<AluOp, CmpOp> {
 
 /// Expands operations the target lacks: `%` into `a - (a/b)*b` when there
 /// is no hardware remainder, and unary negate into `0 - x`.
-pub fn expand_missing_ops(f: &mut IrFunction, arch: Arch) {
+pub(crate) fn expand_missing_ops(f: &mut IrFunction, arch: Arch) {
     if arch.has_mod() && arch.has_neg() {
         return;
     }
@@ -129,7 +128,7 @@ fn arm_pattern(f: &IrFunction, b: BlockId) -> Option<(Vec<Inst>, LocalId, VReg, 
 /// Only the ARM backend runs this pass; it is the mechanism by which ARM
 /// binaries end up with fewer basic blocks than x86 binaries for the same
 /// source, while their decompiled ASTs stay nearly identical.
-pub fn if_convert(f: &mut IrFunction) {
+pub(crate) fn if_convert(f: &mut IrFunction) {
     loop {
         let mut applied = false;
         'scan: for bi in 0..f.blocks.len() {
@@ -213,39 +212,16 @@ fn layout_frame(f: &IrFunction) -> FrameLayout {
     }
 }
 
-/// Code-generation options.
-#[derive(Debug, Clone, Copy)]
-pub struct CodegenOptions {
-    /// Run the per-architecture character passes (if-conversion, loop
-    /// rotation, strength reduction). Disabled at `-O0`.
-    pub arch_character: bool,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        CodegenOptions {
-            arch_character: true,
-        }
-    }
-}
-
-/// Generates machine code for one IR function with default options.
-///
-/// `sym_index` resolves callee names to symbol-table indices; the SBF
-/// builder passes an interning closure.
-pub fn codegen_function(
-    ir: &IrFunction,
-    arch: Arch,
-    sym_index: &mut dyn FnMut(&str) -> u32,
-) -> MachFunction {
-    codegen_function_with(ir, arch, CodegenOptions::default(), sym_index)
-}
-
 /// Generates machine code for one IR function.
-pub fn codegen_function_with(
+///
+/// `opt` selects the per-architecture character passes (if-conversion,
+/// loop rotation, strength reduction), which run at [`OptLevel::O1`]
+/// only. `sym_index` resolves callee names to symbol-table indices; the
+/// SBF builder passes an interning closure.
+pub(crate) fn codegen_function(
     ir: &IrFunction,
     arch: Arch,
-    options: CodegenOptions,
+    opt: OptLevel,
     sym_index: &mut dyn FnMut(&str) -> u32,
 ) -> MachFunction {
     let mut f = ir.clone();
@@ -253,13 +229,14 @@ pub fn codegen_function_with(
     // Per-architecture optimization character (mirrors how real toolchain
     // cost models diverge per target): x64/PPC invert loops, the RISC
     // targets strength-reduce multiplications, ARM if-converts.
-    if options.arch_character && matches!(arch, Arch::X64 | Arch::Ppc) {
+    let character = opt == OptLevel::O1;
+    if character && matches!(arch, Arch::X64 | Arch::Ppc) {
         crate::opt::rotate_loops(&mut f);
     }
-    if options.arch_character && arch.is_three_address() {
+    if character && arch.is_three_address() {
         crate::opt::strength_reduce(&mut f);
     }
-    if options.arch_character && arch.has_csel() {
+    if character && arch.has_csel() {
         if_convert(&mut f);
     }
     let layout = layout_frame(&f);
@@ -439,7 +416,6 @@ pub fn codegen_function_with(
     }
 
     MachFunction {
-        name: f.name.clone(),
         param_count: f.param_count,
         insts,
         frame_size: layout.size.max(1),
@@ -476,7 +452,7 @@ mod tests {
         let mut f = ir.functions.into_iter().next().unwrap();
         optimize_function(&mut f);
         let mut syms: Vec<String> = Vec::new();
-        codegen_function(&f, arch, &mut |name| {
+        codegen_function(&f, arch, OptLevel::O1, &mut |name| {
             if let Some(i) = syms.iter().position(|s| s == name) {
                 i as u32
             } else {

@@ -4,7 +4,7 @@ use std::fmt;
 
 use asteria_lang::Program;
 
-use crate::codegen::{codegen_function_with, CodegenOptions};
+use crate::codegen::codegen_function;
 use crate::encode::{encode_function, EncodeError};
 use crate::isa::Arch;
 use crate::lower::{lower_program, LowerError};
@@ -105,11 +105,8 @@ pub fn compile_program_with(
     let mut names: Vec<String> = ir.functions.iter().map(|f| f.name.clone()).collect();
     let defined = names.len();
     let mut mach = Vec::with_capacity(ir.functions.len());
-    let options = CodegenOptions {
-        arch_character: opt == OptLevel::O1,
-    };
     for f in &ir.functions {
-        let m = codegen_function_with(f, arch, options, &mut |callee| {
+        let m = codegen_function(f, arch, opt, &mut |callee| {
             if let Some(i) = names.iter().position(|n| n == callee) {
                 i as u32
             } else {

@@ -163,11 +163,6 @@ impl IrFunction {
         &mut self.blocks[id.0 as usize]
     }
 
-    /// Total instruction count (excluding terminators).
-    pub fn inst_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.insts.len()).sum()
-    }
-
     /// Blocks reachable from the entry, in DFS preorder.
     pub fn reachable_blocks(&self) -> Vec<BlockId> {
         let mut seen = vec![false; self.blocks.len()];
@@ -306,6 +301,7 @@ pub struct IrProgram {
 
 impl IrProgram {
     /// Looks up a function by name.
+    #[cfg(test)]
     pub fn function(&self, name: &str) -> Option<&IrFunction> {
         self.functions.iter().find(|f| f.name == name)
     }

@@ -37,25 +37,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codegen;
+mod codegen;
 pub mod compile;
 pub mod encode;
-pub mod ir;
+mod ir;
 pub mod isa;
-pub mod lower;
-pub mod opt;
+mod lower;
+mod opt;
 pub mod sbf;
 pub mod vm;
 
-pub use codegen::{
-    block_boundaries, codegen_function, codegen_function_with, expand_missing_ops, if_convert,
-    CodegenOptions, MachFunction,
-};
+pub use codegen::block_boundaries;
 pub use compile::{compile_program, compile_program_with, CompileError, OptLevel};
 pub use encode::{decode_function, encode_function, DecodeError, EncodeError};
-pub use ir::{IrFunction, IrProgram};
 pub use isa::{AluOp, Arch, CmpOp, MInst, Mem, Reg, UnAluOp};
-pub use lower::{lower_program, LowerError};
-pub use opt::{optimize_function, optimize_program};
+pub use lower::LowerError;
 pub use sbf::{Binary, Symbol, SymbolKind};
 pub use vm::{Vm, VmError};

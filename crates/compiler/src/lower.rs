@@ -46,16 +46,7 @@ impl std::error::Error for LowerError {}
 /// # Errors
 ///
 /// Returns the first [`LowerError`] encountered.
-///
-/// # Examples
-///
-/// ```
-/// let program = asteria_lang::parse("int f(int a) { return a + 1; }")?;
-/// let ir = asteria_compiler::lower_program(&program)?;
-/// assert_eq!(ir.functions.len(), 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn lower_program(program: &Program) -> Result<IrProgram, LowerError> {
+pub(crate) fn lower_program(program: &Program) -> Result<IrProgram, LowerError> {
     let mut ir = IrProgram {
         functions: Vec::new(),
         globals: program
@@ -547,6 +538,12 @@ mod tests {
 
     fn lower_src(src: &str) -> IrProgram {
         lower_program(&parse(src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn lowers_a_one_function_program() {
+        let ir = lower_program(&parse("int f(int a) { return a + 1; }").unwrap()).unwrap();
+        assert_eq!(ir.functions.len(), 1);
     }
 
     #[test]

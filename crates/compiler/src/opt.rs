@@ -12,14 +12,14 @@ use asteria_lang::interp::{eval_binop, eval_unop};
 use crate::ir::{BlockId, Inst, IrFunction, IrProgram, Term, VReg};
 
 /// Runs all passes on every function, to a fixed point per function.
-pub fn optimize_program(ir: &mut IrProgram) {
+pub(crate) fn optimize_program(ir: &mut IrProgram) {
     for f in &mut ir.functions {
         optimize_function(f);
     }
 }
 
 /// Runs constant folding and CFG simplification until nothing changes.
-pub fn optimize_function(f: &mut IrFunction) {
+pub(crate) fn optimize_function(f: &mut IrFunction) {
     loop {
         let mut changed = false;
         changed |= fold_constants(f);
@@ -37,7 +37,7 @@ pub fn optimize_function(f: &mut IrFunction) {
 /// constant conditions into jumps.
 ///
 /// Returns true when anything changed.
-pub fn fold_constants(f: &mut IrFunction) -> bool {
+fn fold_constants(f: &mut IrFunction) -> bool {
     let mut changed = false;
     for b in &mut f.blocks {
         let mut known: HashMap<VReg, i64> = HashMap::new();
@@ -84,7 +84,7 @@ pub fn fold_constants(f: &mut IrFunction) -> bool {
 /// instructions whose terminator is an unconditional jump).
 ///
 /// Returns true when anything changed.
-pub fn thread_jumps(f: &mut IrFunction) -> bool {
+fn thread_jumps(f: &mut IrFunction) -> bool {
     // Resolve the final target of a forwarding chain, with cycle guard.
     let resolve = |start: BlockId, f: &IrFunction| -> BlockId {
         let mut cur = start;
@@ -133,7 +133,7 @@ pub fn thread_jumps(f: &mut IrFunction) -> bool {
 /// Removes blocks unreachable from the entry, compacting block ids.
 ///
 /// Returns true when anything changed.
-pub fn remove_unreachable(f: &mut IrFunction) -> bool {
+pub(crate) fn remove_unreachable(f: &mut IrFunction) -> bool {
     let reachable = f.reachable_blocks();
     if reachable.len() == f.blocks.len() {
         return false;
@@ -250,7 +250,7 @@ mod tests {
 /// the similarity task must absorb.
 ///
 /// Returns the number of loops rotated.
-pub fn rotate_loops(f: &mut IrFunction) -> usize {
+pub(crate) fn rotate_loops(f: &mut IrFunction) -> usize {
     use std::collections::HashMap as Map;
     let mut rotated = 0;
     // Find candidate headers: block H ending Br(c, body, exit) whose
@@ -357,7 +357,7 @@ pub fn rotate_loops(f: &mut IrFunction) -> usize {
 /// lean on the barrel shifter; another honest per-architecture AST delta.
 ///
 /// Returns the number of rewrites.
-pub fn strength_reduce(f: &mut IrFunction) -> usize {
+pub(crate) fn strength_reduce(f: &mut IrFunction) -> usize {
     let mut rewrites = 0;
     for b in &mut f.blocks {
         // Constants defined in this block.
@@ -441,12 +441,13 @@ mod arch_opt_tests {
     #[test]
     fn rotated_loops_preserve_semantics() {
         use crate::codegen::codegen_function;
+        use crate::compile::OptLevel;
         // Covered more broadly by the differential suite; quick check that
         // rotation + codegen still validates.
         let mut f =
             lowered("int f(int n) { int s = 0; while (n > 3) { s += n; n -= 2; } return s; }");
         rotate_loops(&mut f);
-        let m = codegen_function(&f, crate::isa::Arch::X64, &mut |_| 0);
+        let m = codegen_function(&f, crate::isa::Arch::X64, OptLevel::O1, &mut |_| 0);
         assert!(!m.insts.is_empty());
     }
 }

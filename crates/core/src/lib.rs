@@ -58,8 +58,7 @@ pub use forest::Forest;
 pub use model::{calibrated_similarity, callee_similarity, AsteriaModel, ModelConfig};
 pub use nodes::{digitalize, AstTree, NodeType};
 pub use pipeline::{
-    encode_function, encode_functions, extract_binary, extract_binary_resilient,
-    extract_binary_resilient_with, extract_function, extract_function_with, function_similarity,
+    encode_function, encode_functions, extract_binary, extract_function, function_similarity,
     ExtractedFunction, ExtractionReport, FunctionEncoding, FunctionOutcome, ResilientExtraction,
     DEFAULT_INLINE_BETA,
 };

@@ -4,7 +4,7 @@
 use std::fmt;
 
 use asteria_compiler::Binary;
-use asteria_decompiler::{callee_count, decompile_function_with, DecompileError, DecompileLimits};
+use asteria_decompiler::{callee_count, decompile_function, DecompileError};
 
 use crate::binarize::{binarize, BinTree};
 use crate::forest::Forest;
@@ -37,29 +37,16 @@ pub struct ExtractedFunction {
 ///
 /// # Errors
 ///
-/// Propagates decompilation failures.
+/// Propagates decompilation failures, including
+/// [`DecompileError::BudgetExceeded`] when a default
+/// [`DecompileLimits`](asteria_decompiler::DecompileLimits) budget fires.
 pub fn extract_function(
     binary: &Binary,
     sym: usize,
     beta: usize,
 ) -> Result<ExtractedFunction, DecompileError> {
-    extract_function_with(binary, sym, beta, &DecompileLimits::default())
-}
-
-/// Extracts one function under an explicit decompilation budget.
-///
-/// # Errors
-///
-/// Propagates decompilation failures, including
-/// [`DecompileError::BudgetExceeded`].
-pub fn extract_function_with(
-    binary: &Binary,
-    sym: usize,
-    beta: usize,
-    limits: &DecompileLimits,
-) -> Result<ExtractedFunction, DecompileError> {
     let timer = asteria_obs::timer();
-    let df = decompile_function_with(binary, sym, limits)?;
+    let df = decompile_function(binary, sym)?;
     let tree = digitalize(&df);
     let ntree = binarize(&tree);
     timer.observe_seconds("asteria_extract_seconds", &[]);
@@ -75,25 +62,7 @@ pub fn extract_function_with(
     })
 }
 
-/// Extracts every defined function of a binary.
-///
-/// # Errors
-///
-/// Fails on the first function that cannot be decompiled. Corpus-scale
-/// callers should prefer [`extract_binary_resilient`], which degrades
-/// per function instead of aborting the whole binary.
-pub fn extract_binary(
-    binary: &Binary,
-    beta: usize,
-) -> Result<Vec<ExtractedFunction>, DecompileError> {
-    binary
-        .function_indices()
-        .into_iter()
-        .map(|i| extract_function(binary, i, beta))
-        .collect()
-}
-
-/// The outcome of extracting one function during a resilient run.
+/// The outcome of extracting one function of a binary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FunctionOutcome {
     /// Symbol index within the binary.
@@ -104,8 +73,8 @@ pub struct FunctionOutcome {
     pub result: Result<ExtractedFunction, DecompileError>,
 }
 
-/// Aggregate counts from a resilient extraction: how many functions were
-/// extracted and the taxonomy of every failure.
+/// Aggregate counts from a whole-binary extraction: how many functions
+/// were extracted and the taxonomy of every failure.
 ///
 /// This is the ledger the paper's IDA-based pipeline never shows — Hex-Rays
 /// silently drops functions it cannot decompile; here every skip is
@@ -118,7 +87,8 @@ pub struct ExtractionReport {
     pub extracted: usize,
     /// Skipped for any reason (`total - extracted`).
     pub skipped: usize,
-    /// Skipped because a [`DecompileLimits`] budget fired.
+    /// Skipped because a
+    /// [`DecompileLimits`](asteria_decompiler::DecompileLimits) budget fired.
     pub over_budget: usize,
     /// Skipped because disassembly failed.
     pub decode_errors: usize,
@@ -169,8 +139,8 @@ impl fmt::Display for ExtractionReport {
     }
 }
 
-/// The result of a resilient whole-binary extraction: every per-function
-/// outcome plus the aggregate report.
+/// The result of a whole-binary extraction: every per-function outcome
+/// plus the aggregate report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilientExtraction {
     /// One outcome per defined function, in symbol order.
@@ -203,26 +173,15 @@ impl ResilientExtraction {
 
 /// Extracts every defined function of a binary, degrading per function:
 /// a function that fails to decompile is recorded as a skip instead of
-/// aborting the binary. Never fails at the binary level.
-pub fn extract_binary_resilient(binary: &Binary, beta: usize) -> ResilientExtraction {
-    extract_binary_resilient_with(binary, beta, &DecompileLimits::default())
-}
-
-/// [`extract_binary_resilient`] with an explicit decompilation budget.
-pub fn extract_binary_resilient_with(
-    binary: &Binary,
-    beta: usize,
-    limits: &DecompileLimits,
-) -> ResilientExtraction {
+/// aborting the binary. Never fails at the binary level; a caller that
+/// wants all-or-nothing checks [`ExtractionReport::skipped`] or
+/// [`ResilientExtraction::failures`].
+pub fn extract_binary(binary: &Binary, beta: usize) -> ResilientExtraction {
     let mut outcomes = Vec::new();
     let mut report = ExtractionReport::default();
     for sym in binary.function_indices() {
-        let name = binary
-            .symbols
-            .get(sym)
-            .map(|s| s.display_name())
-            .unwrap_or_else(|| format!("sym_{sym}"));
-        let result = extract_function_with(binary, sym, beta, limits);
+        let name = binary.symbols[sym].display_name();
+        let result = extract_function(binary, sym, beta);
         report.total += 1;
         match &result {
             Ok(_) => report.extracted += 1,
@@ -235,7 +194,12 @@ pub fn extract_binary_resilient_with(
 
 /// A cached function encoding: the offline product the paper stores for
 /// every firmware function (encoding vector + callee count).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is bit-exact: `vector` compares by [`f32::to_bits`], so
+/// `-0.0 != 0.0` and a NaN equals the same NaN bits. That is the
+/// determinism oracle (serial == parallel == warm == cold), and it makes
+/// `==` an equivalence relation, hence `Eq`.
+#[derive(Debug, Clone)]
 pub struct FunctionEncoding {
     /// Function display name.
     pub name: String,
@@ -244,6 +208,21 @@ pub struct FunctionEncoding {
     /// Calibration feature C.
     pub callee_count: usize,
 }
+
+impl PartialEq for FunctionEncoding {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.callee_count == other.callee_count
+            && self.vector.len() == other.vector.len()
+            && self
+                .vector
+                .iter()
+                .zip(&other.vector)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for FunctionEncoding {}
 
 /// Encodes an extracted function with a trained model, on the caller's
 /// thread.
@@ -306,8 +285,8 @@ pub fn function_similarity(
 mod tests {
     use super::*;
     use crate::model::ModelConfig;
-    use asteria_compiler::{compile_program, Arch};
-    use asteria_decompiler::BudgetKind;
+    use asteria_compiler::{compile_program, Arch, MInst};
+    use asteria_decompiler::{BudgetKind, DecompileLimits};
     use asteria_lang::parse;
 
     const SRC: &str = "int helper(int x) { int s = 0; for (int i = 0; i < x; i++) \
@@ -320,7 +299,9 @@ mod tests {
         let p = parse(SRC).unwrap();
         for arch in Arch::ALL {
             let b = compile_program(&p, arch).unwrap();
-            let fns = extract_binary(&b, DEFAULT_INLINE_BETA).unwrap();
+            let run = extract_binary(&b, DEFAULT_INLINE_BETA);
+            assert_eq!(run.report.skipped, 0, "{arch}");
+            let fns = run.into_functions();
             assert_eq!(fns.len(), 2, "{arch}");
             for f in &fns {
                 assert!(f.ast_size >= 5, "{arch}: {} too small", f.name);
@@ -335,7 +316,9 @@ mod tests {
         let mut sizes = Vec::new();
         for arch in Arch::ALL {
             let b = compile_program(&p, arch).unwrap();
-            let fns = extract_binary(&b, DEFAULT_INLINE_BETA).unwrap();
+            let run = extract_binary(&b, DEFAULT_INLINE_BETA);
+            assert_eq!(run.report.skipped, 0, "{arch}");
+            let fns = run.into_functions();
             let f = fns.iter().find(|f| f.name == "f").unwrap();
             sizes.push(f.ast_size);
         }
@@ -368,8 +351,12 @@ mod tests {
         let p = parse(SRC).unwrap();
         for arch in Arch::ALL {
             let b = compile_program(&p, arch).unwrap();
-            let strict = extract_binary(&b, DEFAULT_INLINE_BETA).unwrap();
-            let resilient = extract_binary_resilient(&b, DEFAULT_INLINE_BETA);
+            let strict: Vec<ExtractedFunction> = b
+                .function_indices()
+                .into_iter()
+                .map(|i| extract_function(&b, i, DEFAULT_INLINE_BETA).unwrap())
+                .collect();
+            let resilient = extract_binary(&b, DEFAULT_INLINE_BETA);
             assert_eq!(resilient.report.total, 2, "{arch}");
             assert_eq!(resilient.report.extracted, 2, "{arch}");
             assert_eq!(resilient.report.skipped, 0, "{arch}");
@@ -384,7 +371,7 @@ mod tests {
         // Corrupt one function's code so it cannot decode.
         let idx = b.symbol_index("helper").unwrap();
         b.symbols[idx].code = vec![0xff; 7];
-        let run = extract_binary_resilient(&b, DEFAULT_INLINE_BETA);
+        let run = extract_binary(&b, DEFAULT_INLINE_BETA);
         assert_eq!(run.report.total, 2);
         assert_eq!(run.report.extracted, 1);
         assert_eq!(run.report.skipped, 1);
@@ -397,13 +384,16 @@ mod tests {
 
     #[test]
     fn resilient_extraction_reports_budget_skips() {
+        // Both functions get a body one instruction past the default
+        // instruction budget.
         let p = parse(SRC).unwrap();
-        let b = compile_program(&p, Arch::Arm).unwrap();
-        let limits = DecompileLimits {
-            max_instructions: 1,
-            ..DecompileLimits::default()
-        };
-        let run = extract_binary_resilient_with(&b, DEFAULT_INLINE_BETA, &limits);
+        let mut b = compile_program(&p, Arch::Arm).unwrap();
+        let too_long = vec![MInst::Ret; DecompileLimits::default().max_instructions + 1];
+        let code = asteria_compiler::encode_function(&too_long, Arch::Arm).unwrap();
+        for sym in b.function_indices() {
+            b.symbols[sym].code = code.clone();
+        }
+        let run = extract_binary(&b, DEFAULT_INLINE_BETA);
         assert_eq!(run.report.over_budget, 2);
         assert!(run.failures().all(|(_, e)| matches!(
             e,
@@ -421,12 +411,28 @@ mod tests {
     fn corpus_reports_absorb() {
         let p = parse(SRC).unwrap();
         let b = compile_program(&p, Arch::X64).unwrap();
-        let a = extract_binary_resilient(&b, DEFAULT_INLINE_BETA).report;
+        let a = extract_binary(&b, DEFAULT_INLINE_BETA).report;
         let mut total = ExtractionReport::default();
         total.absorb(&a);
         total.absorb(&a);
         assert_eq!(total.total, 2 * a.total);
         assert_eq!(total.extracted, 2 * a.extracted);
+    }
+
+    #[test]
+    fn encoding_equality_compares_vector_bits() {
+        let enc = |vector: Vec<f32>| FunctionEncoding {
+            name: "f".to_string(),
+            vector,
+            callee_count: 2,
+        };
+        // f32 `==` calls these equal; their bits differ.
+        assert_ne!(enc(vec![1.0, 0.0]), enc(vec![1.0, -0.0]));
+        // f32 `==` calls a NaN unequal to itself; the bits are the same.
+        let nan = f32::from_bits(0x7fc0_0001);
+        assert_eq!(enc(vec![nan, 3.5]), enc(vec![nan, 3.5]));
+        assert_ne!(enc(vec![nan]), enc(vec![f32::from_bits(0x7fc0_0002)]));
+        assert_ne!(enc(vec![1.0]), enc(vec![1.0, 1.0]));
     }
 
     #[test]

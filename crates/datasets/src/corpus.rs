@@ -151,9 +151,11 @@ pub fn build_corpus_with_extra(config: &CorpusConfig, extra: &[(String, String)]
         for arch in Arch::ALL {
             let binary = compile_program(&program, arch)
                 .unwrap_or_else(|e| panic!("{package}/{arch}: compile failed: {e}"));
-            let extracted = extract_binary(&binary, config.beta)
-                .unwrap_or_else(|e| panic!("{package}/{arch}: extraction failed: {e}"));
-            for f in extracted {
+            let extraction = extract_binary(&binary, config.beta);
+            if let Some((_, e)) = extraction.failures().next() {
+                panic!("{package}/{arch}: extraction failed: {e}");
+            }
+            for f in extraction.into_functions() {
                 if f.ast_size < config.min_ast_size {
                     corpus.filtered_out += 1;
                     continue;

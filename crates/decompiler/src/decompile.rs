@@ -251,36 +251,9 @@ fn decompile_function_inner(
     })
 }
 
-/// Decompiles every defined function in a binary.
-///
-/// # Errors
-///
-/// Fails on the first function that cannot be decompiled.
-pub fn decompile_binary(binary: &Binary) -> Result<Vec<DFunction>, DecompileError> {
-    decompile_binary_with(binary, &DecompileLimits::default())
-}
-
-/// Decompiles every defined function under an explicit resource budget.
-///
-/// # Errors
-///
-/// Fails on the first function that cannot be decompiled; corpus drivers
-/// that want per-function degradation should use
-/// `asteria_core::extract_binary_resilient` instead.
-pub fn decompile_binary_with(
-    binary: &Binary,
-    limits: &DecompileLimits,
-) -> Result<Vec<DFunction>, DecompileError> {
-    binary
-        .function_indices()
-        .into_iter()
-        .map(|i| decompile_function_with(binary, i, limits))
-        .collect()
-}
-
 /// Number of machine instructions of a defined function (`None` for
 /// externals, whose size is unknown to the analyst).
-pub fn function_inst_count(binary: &Binary, sym: usize) -> Option<usize> {
+fn function_inst_count(binary: &Binary, sym: usize) -> Option<usize> {
     let s = binary.symbols.get(sym)?;
     if s.kind != SymbolKind::Function {
         return None;
@@ -318,9 +291,10 @@ mod tests {
         let p = parse(SRC).unwrap();
         for arch in Arch::ALL {
             let b = compile_program(&p, arch).unwrap();
-            let funcs = decompile_binary(&b).unwrap();
-            assert_eq!(funcs.len(), 3, "{arch}");
-            for f in &funcs {
+            let syms = b.function_indices();
+            assert_eq!(syms.len(), 3, "{arch}");
+            for sym in syms {
+                let f = decompile_function(&b, sym).unwrap();
                 assert!(f.ast_size() >= 3, "{arch}: {} too small", f.name);
             }
         }
@@ -353,7 +327,11 @@ mod tests {
         let p = parse(SRC).unwrap();
         let mut b = compile_program(&p, Arch::Arm).unwrap();
         b.strip();
-        let funcs = decompile_binary(&b).unwrap();
+        let funcs: Vec<DFunction> = b
+            .function_indices()
+            .into_iter()
+            .map(|i| decompile_function(&b, i).unwrap())
+            .collect();
         assert!(
             funcs.iter().all(|f| f.name.starts_with("sub_")),
             "{funcs:#?}"

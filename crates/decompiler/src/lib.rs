@@ -7,24 +7,26 @@
 //!
 //! 1. **Disassembly** — per-architecture decoding (in `asteria-compiler`)
 //!    plus machine-CFG recovery ([`cfg`](mod@cfg)).
-//! 2. **Lifting** ([`lift`]) — symbolic evaluation turns register shuffles
-//!    back into expression trees; single-use temporaries are inlined and
-//!    dead stores removed.
-//! 3. **Structuring** ([`structure`](mod@structure)) — dominator/postdominator-based
-//!    region structuring recovers `if`/`while`/`do-while`, with `goto` as
-//!    the honest fallback.
-//! 4. **Post-processing** ([`postproc`]) — compound-assignment recovery on
-//!    two-address ISAs and `switch` recovery from comparison chains.
+//! 2. **Lifting** — symbolic evaluation turns register shuffles back into
+//!    expression trees; single-use temporaries are inlined and dead
+//!    stores removed.
+//! 3. **Structuring** — dominator/postdominator-based region structuring
+//!    recovers `if`/`while`/`do-while`, with `goto` as the honest
+//!    fallback.
+//! 4. **Post-processing** — compound-assignment recovery on two-address
+//!    ISAs and `switch` recovery from comparison chains.
 //!
-//! The result is a [`DFunction`] whose [`ast`] is the decompiled AST the
-//! Asteria model consumes, plus the callee-count feature used by the
-//! paper's similarity calibration.
+//! [`decompile_function`] runs every stage under the
+//! [`DecompileLimits`] budgets. The result is a [`DFunction`] whose
+//! [`ast`] is the decompiled AST the Asteria model consumes, plus the
+//! callee-count feature used by the paper's similarity calibration
+//! ([`callee_count`]).
 //!
 //! # Examples
 //!
 //! ```
 //! use asteria_compiler::{compile_program, Arch};
-//! use asteria_decompiler::{decompile_binary, DStmt};
+//! use asteria_decompiler::{decompile_function, DStmt};
 //!
 //! let program = asteria_lang::parse(
 //!     "int f(int n) { int s = 0; while (n > 0) { s += n; n -= 1; } return s; }",
@@ -33,8 +35,8 @@
 //! // guarded do-while; ARM keeps the plain while shape.
 //! let ppc = compile_program(&program, Arch::Ppc)?;
 //! let arm = compile_program(&program, Arch::Arm)?;
-//! let f_ppc = &decompile_binary(&ppc)?[0];
-//! let f_arm = &decompile_binary(&arm)?[0];
+//! let f_ppc = decompile_function(&ppc, 0)?;
+//! let f_arm = decompile_function(&arm, 0)?;
 //! fn loops(body: &[DStmt]) -> usize {
 //!     body.iter()
 //!         .map(|s| match s {
@@ -60,22 +62,13 @@ pub mod ast;
 pub mod cfg;
 pub mod decompile;
 pub mod display;
-pub mod lift;
+mod lift;
 pub mod limits;
-pub mod postproc;
-pub mod structure;
+mod postproc;
+mod structure;
 
 pub use ast::{DAssignOp, DExpr, DFunction, DPlace, DStmt, DSwitchCase, VarRef};
 pub use cfg::{build_cfg, Cfg, CfgBlock, TermKind};
-pub use decompile::{
-    callee_count, decompile_binary, decompile_binary_with, decompile_function,
-    decompile_function_with, function_inst_count, DecompileError,
-};
+pub use decompile::{callee_count, decompile_function, decompile_function_with, DecompileError};
 pub use display::render_function;
-pub use lift::{
-    lift_blocks, lift_blocks_limited, optimize_lifted, optimize_lifted_with, propagate_params,
-    LiftedBlock,
-};
 pub use limits::{BudgetKind, DecompileLimits};
-pub use postproc::{recover_compound_assign, recover_idioms, recover_switch};
-pub use structure::{structure, structure_limited};

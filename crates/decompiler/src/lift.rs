@@ -3,7 +3,7 @@
 //! Works one basic block at a time. A symbolic register file maps each
 //! machine register to the expression it currently holds; stores to the
 //! frame, to globals, and calls become statements. A subsequent
-//! *temporary-elimination* pass ([`optimize_lifted`]) inlines single-use
+//! *temporary-elimination* pass ([`optimize_lifted_with`]) inlines single-use
 //! frame slots (the spilled virtual registers of the code generator) so
 //! nested source expressions re-emerge, and deletes dead stores — this is
 //! the expression-propagation step every real decompiler performs.
@@ -20,7 +20,7 @@ use crate::limits::BudgetKind;
 
 /// A lifted basic block: straight-line statements plus terminator data.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiftedBlock {
+pub(crate) struct LiftedBlock {
     /// Statements in execution order.
     pub stmts: Vec<DStmt>,
     /// Branch condition when the block ends in a conditional branch.
@@ -82,24 +82,18 @@ impl NodeBudget {
     }
 }
 
-/// Lifts every block of a function.
+/// Lifts every block of a function under an AST-node budget.
 ///
 /// `arch` drives the calling-convention model used to recover call
 /// arguments; `param_count` (from the symbol table) names incoming
 /// parameters `a0, a1, …`.
-pub fn lift_blocks(insts: &[MInst], cfg: &Cfg, arch: Arch, param_count: u32) -> Vec<LiftedBlock> {
-    // Infallible with an unlimited budget.
-    lift_blocks_limited(insts, cfg, arch, param_count, usize::MAX).unwrap_or_default()
-}
-
-/// Lifts every block of a function under an AST-node budget.
 ///
 /// # Errors
 ///
 /// Returns [`DecompileError::BudgetExceeded`] with
 /// [`BudgetKind::AstNodes`] as soon as the
 /// total number of materialized AST nodes would exceed `max_ast_nodes`.
-pub fn lift_blocks_limited(
+pub(crate) fn lift_blocks_limited(
     insts: &[MInst],
     cfg: &Cfg,
     arch: Arch,
@@ -484,7 +478,7 @@ fn usage_counts(blocks: &[LiftedBlock]) -> (HashMap<VarRef, usize>, HashMap<VarR
 /// statements. The x86 lifter runs in this mode — 32-bit decompiler
 /// output is famously temp-heavy due to register pressure — which is one
 /// of the larger honest per-architecture AST differences.
-pub fn optimize_lifted_with(blocks: &mut [LiftedBlock], full_inline: bool) {
+pub(crate) fn optimize_lifted_with(blocks: &mut [LiftedBlock], full_inline: bool) {
     for _round in 0..8 {
         let mut changed = false;
         let (reads, writes) = usage_counts(blocks);
@@ -608,14 +602,9 @@ pub fn optimize_lifted_with(blocks: &mut [LiftedBlock], full_inline: bool) {
     }
 }
 
-/// Full-inlining wrapper kept for the common (non-x86) case.
-pub fn optimize_lifted(blocks: &mut [LiftedBlock]) {
-    optimize_lifted_with(blocks, true)
-}
-
 /// Renames locals that are mere parameter copies (`v3 = a0` being the only
 /// write to `v3`) directly to the parameter, as interactive decompilers do.
-pub fn propagate_params(blocks: &mut [LiftedBlock]) {
+pub(crate) fn propagate_params(blocks: &mut [LiftedBlock]) {
     let (_, writes) = usage_counts(blocks);
     // Collect rename candidates.
     let mut renames: Vec<(VarRef, VarRef)> = Vec::new();
@@ -674,8 +663,10 @@ mod tests {
         let idx = b.function_indices()[0];
         let insts = decode_function(&b.symbols[idx].code, arch).unwrap();
         let cfg = build_cfg(&insts);
-        let mut blocks = lift_blocks(&insts, &cfg, arch, b.symbols[idx].param_count);
-        optimize_lifted(&mut blocks);
+        let mut blocks =
+            lift_blocks_limited(&insts, &cfg, arch, b.symbols[idx].param_count, usize::MAX)
+                .unwrap();
+        optimize_lifted_with(&mut blocks, true);
         propagate_params(&mut blocks);
         blocks
     }

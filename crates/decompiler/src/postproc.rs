@@ -13,7 +13,7 @@ use crate::ast::{DAssignOp, DExpr, DPlace, DStmt, DSwitchCase};
 /// The negate expansion `0 - x` is deliberately *not* recovered: real
 /// decompilers print it as-is, which is one of the small per-architecture
 /// AST differences the paper's Fig. 2 shows.
-pub fn recover_idioms(stmts: &mut [DStmt]) {
+pub(crate) fn recover_idioms(stmts: &mut [DStmt]) {
     for s in stmts {
         match s {
             DStmt::Assign(_, place, e) => {
@@ -97,7 +97,7 @@ fn idiom_expr(e: &mut DExpr) {
 /// `op dst, src` machine form is what prompts interactive decompilers to
 /// print compound assignments. This is one of the deliberate *small*
 /// cross-architecture AST differences the paper's Fig. 2 highlights.
-pub fn recover_compound_assign(stmts: &mut [DStmt]) {
+pub(crate) fn recover_compound_assign(stmts: &mut [DStmt]) {
     for s in stmts {
         match s {
             DStmt::Assign(op @ DAssignOp::Assign, place, e) => {
@@ -146,7 +146,7 @@ const SWITCH_MIN_CASES: usize = 3;
 /// Collapses `if (v == c1) … else if (v == c2) … else …` chains of length
 /// ≥ 3 on the *same* scrutinee into a recovered [`DStmt::Switch`] — the
 /// analogue of a decompiler's jump-table/compare-chain switch recovery.
-pub fn recover_switch(stmts: &mut [DStmt]) {
+pub(crate) fn recover_switch(stmts: &mut [DStmt]) {
     for s in stmts.iter_mut() {
         // Recurse first so nested chains inside arms also collapse.
         match s {

@@ -38,11 +38,25 @@ struct Structurer<'a> {
     exceeded: bool,
 }
 
-fn run_structurer(
+/// Structures a lifted function body into statements under an iteration
+/// budget.
+///
+/// The structurer degrades pathological regions to `goto`, so it always
+/// terminates; the budget additionally bounds the total number of
+/// region-walk iterations and reports a typed error when the bound is
+/// hit, distinguishing "structured with gotos" from "adversarially
+/// large".
+///
+/// # Errors
+///
+/// Returns [`DecompileError::BudgetExceeded`] with
+/// [`BudgetKind::StructureIters`] when
+/// the walk exceeds `max_structure_iters` iterations.
+pub(crate) fn structure_limited(
     cfg: &Cfg,
     lifted: &[LiftedBlock],
-    max_iters: usize,
-) -> (Vec<DStmt>, usize, bool) {
+    max_structure_iters: usize,
+) -> Result<Vec<DStmt>, DecompileError> {
     let idom = dominators(cfg);
     let mut loops: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (latch, header) in back_edges(cfg, &idom) {
@@ -56,43 +70,16 @@ fn run_structurer(
         active: BTreeSet::new(),
         budget: cfg.blocks.len() * 8 + 64,
         iters: 0,
-        max_iters,
+        max_iters: max_structure_iters,
         exceeded: false,
     };
     let mut out = Vec::new();
     s.region(Some(0), None, None, &mut out);
-    (out, s.iters, s.exceeded)
-}
-
-/// Structures a lifted function body into statements.
-pub fn structure(cfg: &Cfg, lifted: &[LiftedBlock]) -> Vec<DStmt> {
-    run_structurer(cfg, lifted, usize::MAX).0
-}
-
-/// Structures a lifted function body under an iteration budget.
-///
-/// The structurer already degrades pathological regions to `goto`, so it
-/// always terminates; this variant additionally bounds the total number of
-/// region-walk iterations and reports a typed error when the bound is hit,
-/// letting corpus drivers distinguish "structured with gotos" from
-/// "adversarially large".
-///
-/// # Errors
-///
-/// Returns [`DecompileError::BudgetExceeded`] with
-/// [`BudgetKind::StructureIters`] when
-/// the walk exceeds `max_structure_iters` iterations.
-pub fn structure_limited(
-    cfg: &Cfg,
-    lifted: &[LiftedBlock],
-    max_structure_iters: usize,
-) -> Result<Vec<DStmt>, DecompileError> {
-    let (out, iters, exceeded) = run_structurer(cfg, lifted, max_structure_iters);
-    if exceeded {
+    if s.exceeded {
         return Err(DecompileError::BudgetExceeded {
             kind: BudgetKind::StructureIters,
             limit: max_structure_iters,
-            actual: iters,
+            actual: s.iters,
         });
     }
     Ok(out)
@@ -128,12 +115,10 @@ impl<'a> Structurer<'a> {
         out: &mut Vec<DStmt>,
     ) {
         let mut cur = start;
-        let mut first = true;
         while let Some(node) = cur {
-            if Some(node) == stop && !(first && self.loop_entry_needs_body(node, stop)) {
+            if Some(node) == stop {
                 return;
             }
-            first = false;
             self.iters += 1;
             if self.iters > self.max_iters {
                 // Drain the rest of the walk through the goto fallback;
@@ -193,12 +178,6 @@ impl<'a> Structurer<'a> {
                 }
             }
         }
-    }
-
-    /// A region may legitimately *start* at its stop node when we emit the
-    /// body of a `while(1)` loop whose header equals the region stop.
-    fn loop_entry_needs_body(&self, _node: usize, _stop: Option<usize>) -> bool {
-        false
     }
 
     /// Emits a loop headed at `header`; returns the continuation node.
@@ -345,7 +324,7 @@ impl<'a> Structurer<'a> {
 mod tests {
     use super::*;
     use crate::cfg::build_cfg;
-    use crate::lift::{lift_blocks, optimize_lifted, propagate_params};
+    use crate::lift::{lift_blocks_limited, optimize_lifted_with, propagate_params};
     use asteria_compiler::{compile_program, decode_function, Arch};
     use asteria_lang::parse;
 
@@ -355,10 +334,12 @@ mod tests {
         let idx = b.function_indices()[0];
         let insts = decode_function(&b.symbols[idx].code, arch).unwrap();
         let cfg = build_cfg(&insts);
-        let mut blocks = lift_blocks(&insts, &cfg, arch, b.symbols[idx].param_count);
-        optimize_lifted(&mut blocks);
+        let mut blocks =
+            lift_blocks_limited(&insts, &cfg, arch, b.symbols[idx].param_count, usize::MAX)
+                .unwrap();
+        optimize_lifted_with(&mut blocks, true);
         propagate_params(&mut blocks);
-        structure(&cfg, &blocks)
+        structure_limited(&cfg, &blocks, usize::MAX).unwrap()
     }
 
     fn count_kind(stmts: &[DStmt], pred: &dyn Fn(&DStmt) -> bool) -> usize {
@@ -614,7 +595,7 @@ mod whitebox_tests {
                 block(vec![], TermKind::Ret),
             ],
         };
-        let out = structure(&cfg, &lifted(4));
+        let out = structure_limited(&cfg, &lifted(4), usize::MAX).unwrap();
         // Must terminate (budget) and produce *something* — a goto is the
         // honest fallback for irreducible flow.
         fn has_goto(stmts: &[DStmt]) -> bool {
@@ -640,7 +621,7 @@ mod whitebox_tests {
                 block(vec![], TermKind::Ret),
             ],
         };
-        let out = structure(&cfg, &lifted(2));
+        let out = structure_limited(&cfg, &lifted(2), usize::MAX).unwrap();
         let has_loop = out
             .iter()
             .any(|s| matches!(s, DStmt::While(_, _) | DStmt::DoWhile(_, _)));
@@ -658,7 +639,7 @@ mod whitebox_tests {
             blocks.push(block(vec![(i + 1) % n, (i + 5) % n], TermKind::Cond));
         }
         let cfg = Cfg { blocks };
-        let out = structure(&cfg, &lifted(n));
+        let out = structure_limited(&cfg, &lifted(n), usize::MAX).unwrap();
         assert!(!out.is_empty());
     }
 }

@@ -130,7 +130,7 @@ impl From<io::Error> for IndexError {
 /// extraction or encoding), plus the extraction report (including
 /// skips) from the cold run, so a warm rebuild reproduces the
 /// corpus-coverage accounting bit-for-bit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachedBinary {
     /// Per-binary extraction outcome of the cold build.
     pub report: ExtractionReport,

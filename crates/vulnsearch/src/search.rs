@@ -15,7 +15,7 @@ use asteria_decompiler::DecompileError;
 use asteria_lang::ParseError;
 
 /// One firmware function in the search index.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexedFunction {
     /// Image index in the corpus.
     pub image: usize,
@@ -30,8 +30,9 @@ pub struct IndexedFunction {
     pub ground_truth: Option<(usize, bool)>,
 }
 
-/// The offline product: every firmware function encoded once.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The offline product: every firmware function encoded once. Equality
+/// compares encodings bit for bit (see [`FunctionEncoding`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchIndex {
     /// All indexed functions.
     pub functions: Vec<IndexedFunction>,

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use asteria_compiler::{compile_program, Arch};
 use asteria_core::{
-    encode_function, encode_functions, extract_binary_resilient, extract_function, AsteriaModel,
+    encode_function, encode_functions, extract_binary, extract_function, AsteriaModel,
     ExtractedFunction, ExtractionReport, FunctionEncoding, ResilientExtraction,
     DEFAULT_INLINE_BETA,
 };
@@ -285,7 +285,7 @@ impl<'m> IndexBuilder<'m> {
                     (Entry::Warm { functions, report }, "warm", n)
                 }
                 None => {
-                    let extraction = extract_binary_resilient(binary, DEFAULT_INLINE_BETA);
+                    let extraction = extract_binary(binary, DEFAULT_INLINE_BETA);
                     let n = extraction.report.extracted;
                     (Entry::Cold(extraction), "cold", n)
                 }

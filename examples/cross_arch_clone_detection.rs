@@ -4,11 +4,13 @@
 //!
 //! Run with: `cargo run --release -p asteria --example cross_arch_clone_detection`
 
-use asteria::compiler::{compile_program, Arch};
+use asteria::compiler::{compile_program, Arch, Binary};
 use asteria::core::{
-    calibrated_similarity, extract_binary, train, AsteriaModel, ModelConfig, TrainOptions,
+    calibrated_similarity, extract_binary, train, AsteriaModel, ExtractedFunction, ModelConfig,
+    TrainOptions, DEFAULT_INLINE_BETA,
 };
 use asteria::datasets::{build_corpus, build_pairs, to_train_pairs, CorpusConfig, PairConfig};
+use asteria::decompiler::DecompileError;
 
 const LIBRARY_SRC: &str = r#"
     int crc_step(int crc, int byte) {
@@ -33,6 +35,15 @@ const LIBRARY_SRC: &str = r#"
         return best;
     }
 "#;
+
+/// Every function of `binary`, or the first one that does not decompile.
+fn extract_all(binary: &Binary) -> Result<Vec<ExtractedFunction>, DecompileError> {
+    let extraction = extract_binary(binary, DEFAULT_INLINE_BETA);
+    if let Some((_, e)) = extraction.failures().next() {
+        return Err(e.clone());
+    }
+    Ok(extraction.into_functions())
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Train a small model first (clone detection without training works,
@@ -68,12 +79,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The "known" side: an x86 build with symbols.
     let program = asteria::lang::parse(LIBRARY_SRC)?;
     let x86 = compile_program(&program, Arch::X86)?;
-    let known = extract_binary(&x86, asteria::core::DEFAULT_INLINE_BETA)?;
+    let known = extract_all(&x86)?;
 
     // The "unknown" side: a stripped ARM build of the same library.
     let mut arm = compile_program(&program, Arch::Arm)?;
     arm.strip();
-    let unknown = extract_binary(&arm, asteria::core::DEFAULT_INLINE_BETA)?;
+    let unknown = extract_all(&arm)?;
     println!(
         "searching {} stripped ARM functions for {} known x86 functions\n",
         unknown.len(),

@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use asteria::core::{
-    binarize, extract_binary_resilient, AstTree, AsteriaModel, BinTree, LeafInit, ModelConfig,
-    NodeType, SiameseHead, TreeLstm, DEFAULT_INLINE_BETA,
+    binarize, extract_binary, AstTree, AsteriaModel, BinTree, LeafInit, ModelConfig, NodeType,
+    SiameseHead, TreeLstm, DEFAULT_INLINE_BETA,
 };
 use asteria::nn::{Graph, ParamStore};
 use asteria::vulnsearch::{build_firmware_corpus, vulnerability_library, FirmwareConfig};
@@ -43,7 +43,7 @@ fn corpus_trees() -> Vec<BinTree> {
     firmware
         .iter()
         .flat_map(|image| &image.binaries)
-        .flat_map(|b| extract_binary_resilient(b, DEFAULT_INLINE_BETA).into_functions())
+        .flat_map(|b| extract_binary(b, DEFAULT_INLINE_BETA).into_functions())
         .map(|f| f.tree)
         .collect()
 }

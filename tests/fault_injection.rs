@@ -12,7 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use asteria::compiler::{compile_program, decode_function, Arch, Binary};
-use asteria::core::{extract_binary_resilient, AsteriaModel, ModelConfig, DEFAULT_INLINE_BETA};
+use asteria::core::{extract_binary, AsteriaModel, ModelConfig, DEFAULT_INLINE_BETA};
 use asteria::corrupt::Corruptor;
 use asteria::decompiler::{decompile_function_with, DecompileLimits};
 use asteria::lang::parse;
@@ -146,7 +146,7 @@ fn loader_survives_corrupted_images() {
                 // A structurally valid container with garbage inside must
                 // still extract per-function, not abort.
                 no_panic("resilient extraction", arch, seed, || {
-                    let r = extract_binary_resilient(&b, DEFAULT_INLINE_BETA);
+                    let r = extract_binary(&b, DEFAULT_INLINE_BETA);
                     assert_eq!(r.report.extracted + r.report.skipped, r.report.total);
                 });
             }
@@ -331,7 +331,7 @@ fn resilient_extraction_accounts_for_every_function() {
                 binary.symbols[sym].code = code;
             }
         }
-        let r = extract_binary_resilient(&binary, DEFAULT_INLINE_BETA);
+        let r = extract_binary(&binary, DEFAULT_INLINE_BETA);
         assert_eq!(r.report.total, funcs.len());
         assert_eq!(r.report.extracted + r.report.skipped, r.report.total);
         assert_eq!(r.outcomes.len(), funcs.len());

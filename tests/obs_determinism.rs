@@ -83,27 +83,6 @@ fn fixture() -> (AsteriaModel, Vec<asteria::vulnsearch::FirmwareImage>) {
     (model, firmware)
 }
 
-fn assert_index_identical(a: &SearchIndex, b: &SearchIndex, what: &str) {
-    assert_eq!(a.extraction, b.extraction, "extraction report: {what}");
-    assert_eq!(a.functions.len(), b.functions.len(), "length: {what}");
-    for (i, (x, y)) in a.functions.iter().zip(&b.functions).enumerate() {
-        assert_eq!(
-            (x.image, x.binary),
-            (y.image, y.binary),
-            "order @{i}: {what}"
-        );
-        assert_eq!(x.name, y.name, "name @{i}: {what}");
-        assert_eq!(x.ground_truth, y.ground_truth, "ground truth @{i}: {what}");
-        assert_eq!(
-            x.encoding.callee_count, y.encoding.callee_count,
-            "callee count @{i}: {what}"
-        );
-        let bits_x: Vec<u32> = x.encoding.vector.iter().map(|v| v.to_bits()).collect();
-        let bits_y: Vec<u32> = y.encoding.vector.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits_x, bits_y, "encoding bits @{i}: {what}");
-    }
-}
-
 #[test]
 fn counters_are_identical_at_every_thread_count() {
     let (model, firmware) = fixture();
@@ -207,7 +186,7 @@ fn recording_never_perturbs_index_bits() {
     rec.collector().reset();
     let traced = build_threads(&model, &firmware, 4);
 
-    assert_index_identical(&plain, &traced, "recorder on vs off");
+    assert!(plain == traced, "index diverged: recorder on vs off");
 }
 
 #[test]
@@ -236,7 +215,7 @@ fn asix_cache_bytes_are_identical_warm_vs_cold_with_tracing() {
         .build_into(&firmware, &mut warm_cache);
     assert_eq!(warm_stats.misses, 0, "warm build re-encoded a binary");
     assert_eq!(warm_stats.hits, cold_stats.misses);
-    assert_index_identical(&cold_index, &warm_index, "warm vs cold");
+    assert!(cold_index == warm_index, "index diverged: warm vs cold");
 
     let mut warm_bytes = Vec::new();
     warm_cache.save(&mut warm_bytes).expect("save warm");

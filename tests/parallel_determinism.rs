@@ -47,31 +47,6 @@ fn build_threads(
         .index
 }
 
-/// Bit-level index equality: float vectors compared by bits, not by ≈.
-fn assert_index_identical(serial: &SearchIndex, parallel: &SearchIndex, threads: usize) {
-    assert_eq!(
-        serial.extraction, parallel.extraction,
-        "extraction report diverged at {threads} threads"
-    );
-    assert_eq!(
-        serial.functions.len(),
-        parallel.functions.len(),
-        "function count diverged at {threads} threads"
-    );
-    for (i, (a, b)) in serial.functions.iter().zip(&parallel.functions).enumerate() {
-        assert_eq!((a.image, a.binary), (b.image, b.binary), "order @{i}");
-        assert_eq!(a.name, b.name, "name @{i}");
-        assert_eq!(a.ground_truth, b.ground_truth, "ground truth @{i}");
-        assert_eq!(
-            a.encoding.callee_count, b.encoding.callee_count,
-            "callee count @{i}"
-        );
-        let bits_a: Vec<u32> = a.encoding.vector.iter().map(|v| v.to_bits()).collect();
-        let bits_b: Vec<u32> = b.encoding.vector.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits_a, bits_b, "encoding bits @{i} at {threads} threads");
-    }
-}
-
 #[test]
 fn index_build_is_identical_at_every_thread_count() {
     let (model, firmware) = fixture();
@@ -79,7 +54,7 @@ fn index_build_is_identical_at_every_thread_count() {
     assert!(!serial.is_empty());
     for threads in THREAD_COUNTS {
         let parallel = build_threads(&model, &firmware, threads);
-        assert_index_identical(&serial, &parallel, threads);
+        assert!(serial == parallel, "index diverged at {threads} threads");
     }
 }
 
@@ -111,12 +86,15 @@ fn warm_cached_build_is_identical_to_cold_at_every_thread_count() {
         );
         assert_eq!(warm_stats.hits, cold_stats.misses);
         assert_eq!(warm_stats.evicted, 0);
-        assert_index_identical(&cold, &warm, threads);
+        assert!(cold == warm, "warm index diverged at {threads} threads");
     }
 
     // The plain builder must agree bit-for-bit with the cached path.
     let uncached = build(&model, &firmware);
-    assert_index_identical(&uncached, &cold, 1);
+    assert!(
+        uncached == cold,
+        "cached cold build diverged from the plain build"
+    );
 }
 
 #[test]
@@ -228,7 +206,7 @@ fn corrupted_corpus_reports_are_identical_in_parallel() {
     assert!(serial.extraction.skipped > 0);
     for threads in THREAD_COUNTS {
         let parallel = build_threads(&model, &firmware, threads);
-        assert_index_identical(&serial, &parallel, threads);
+        assert!(serial == parallel, "index diverged at {threads} threads");
     }
 }
 
