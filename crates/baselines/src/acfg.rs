@@ -54,7 +54,7 @@ impl Acfg {
 
 /// Betweenness centrality for every node of an unweighted digraph
 /// (Brandes' algorithm).
-pub fn betweenness(succs: &[Vec<usize>]) -> Vec<f64> {
+pub(crate) fn betweenness(succs: &[Vec<usize>]) -> Vec<f64> {
     let n = succs.len();
     let mut bc = vec![0.0f64; n];
     for s in 0..n {

@@ -29,7 +29,7 @@ impl DiaphoraHash {
 }
 
 /// The per-label prime table.
-pub fn prime_table() -> Vec<u64> {
+pub(crate) fn prime_table() -> Vec<u64> {
     first_primes(NodeType::VOCAB)
 }
 

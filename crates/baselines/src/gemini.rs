@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use asteria_nn::{Adam, ColMajor, Graph, NodeId, Optimizer, ParamId, ParamStore, Tensor};
 
@@ -271,31 +271,32 @@ pub fn train_gemini(
     losses
 }
 
-/// Deterministic synthetic ACFG for tests and micro-benchmarks.
-pub fn synthetic_acfg(blocks: usize, seed: u64) -> Acfg {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut features = Vec::with_capacity(blocks);
-    let mut succs = vec![Vec::new(); blocks];
-    for (i, s) in succs.iter_mut().enumerate() {
-        let mut f = [0.0f64; ACFG_FEATURES];
-        for v in f.iter_mut() {
-            *v = rng.gen_range(0.0..8.0f64).round();
-        }
-        features.push(f);
-        if i + 1 < blocks {
-            s.push(i + 1);
-        }
-        if i > 1 && rng.gen_bool(0.3) {
-            let t = rng.gen_range(0..i);
-            s.push(t);
-        }
-    }
-    Acfg { features, succs }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+
+    /// Deterministic synthetic ACFG.
+    fn synthetic_acfg(blocks: usize, seed: u64) -> Acfg {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut features = Vec::with_capacity(blocks);
+        let mut succs = vec![Vec::new(); blocks];
+        for (i, s) in succs.iter_mut().enumerate() {
+            let mut f = [0.0f64; ACFG_FEATURES];
+            for v in f.iter_mut() {
+                *v = rng.gen_range(0.0..8.0f64).round();
+            }
+            features.push(f);
+            if i + 1 < blocks {
+                s.push(i + 1);
+            }
+            if i > 1 && rng.gen_bool(0.3) {
+                let t = rng.gen_range(0..i);
+                s.push(t);
+            }
+        }
+        Acfg { features, succs }
+    }
 
     fn tiny() -> GeminiModel {
         GeminiModel::new(GeminiConfig {

@@ -19,6 +19,6 @@ pub mod acfg;
 pub mod diaphora;
 pub mod gemini;
 
-pub use acfg::{betweenness, extract_acfg, Acfg, ACFG_FEATURES};
-pub use diaphora::{hash_ast, prime_table, similarity as diaphora_similarity, DiaphoraHash};
-pub use gemini::{synthetic_acfg, train_gemini, GeminiConfig, GeminiModel};
+pub use acfg::{extract_acfg, Acfg, ACFG_FEATURES};
+pub use diaphora::{hash_ast, similarity as diaphora_similarity, DiaphoraHash};
+pub use gemini::{train_gemini, GeminiConfig, GeminiModel};

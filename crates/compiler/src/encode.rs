@@ -1,7 +1,8 @@
 //! Per-architecture binary instruction encodings.
 //!
-//! Each ISA serializes the canonical [`MInst`] form differently, so the
-//! disassembler genuinely has four decoders:
+//! Each ISA lays the canonical [`MInst`] form out in bytes differently.
+//! One description (`layout`) gives every (arch, tag) pair's bytes, and one
+//! table-driven encoder and decoder read it for all four layouts:
 //!
 //! - **x86**: variable-width, single opcode byte (`tag + 0x10`),
 //!   little-endian immediates — instructions are 1–10 bytes;
@@ -96,78 +97,198 @@ impl std::error::Error for DecodeError {}
 /// Shape tags shared by all encodings (the per-arch opcode is derived from
 /// the tag differently per ISA).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 enum Tag {
-    MovImm32 = 0,
-    MovImm64 = 1,
-    Mov = 2,
-    LoadStr = 3,
-    Load = 4,
-    Store = 5,
-    LoadIdx = 6,
-    StoreIdx = 7,
-    Alu3 = 8,
-    Alu2 = 9,
-    Alu2Mem = 10,
-    UnAlu = 11,
-    SetCc = 12,
-    CSel = 13,
-    Brnz = 14,
-    Jmp = 15,
-    Push = 16,
-    Call = 17,
-    Ret = 18,
-    Nop = 19,
+    MovImm32,
+    MovImm64,
+    Mov,
+    LoadStr,
+    Load,
+    Store,
+    LoadIdx,
+    StoreIdx,
+    Alu3,
+    Alu2,
+    Alu2Mem,
+    UnAlu,
+    SetCc,
+    CSel,
+    Brnz,
+    Jmp,
+    Push,
+    Call,
+    Ret,
+    Nop,
 }
 
-const TAG_COUNT: u8 = 20;
+/// Every tag, in discriminant order: the table each opcode map is
+/// derived from.
+const TAGS: [Tag; 20] = [
+    Tag::MovImm32,
+    Tag::MovImm64,
+    Tag::Mov,
+    Tag::LoadStr,
+    Tag::Load,
+    Tag::Store,
+    Tag::LoadIdx,
+    Tag::StoreIdx,
+    Tag::Alu3,
+    Tag::Alu2,
+    Tag::Alu2Mem,
+    Tag::UnAlu,
+    Tag::SetCc,
+    Tag::CSel,
+    Tag::Brnz,
+    Tag::Jmp,
+    Tag::Push,
+    Tag::Call,
+    Tag::Ret,
+    Tag::Nop,
+];
 
-impl Tag {
-    /// Total decode: every byte maps to `Some(tag)` or `None`, with no
-    /// panicking arm — this runs on attacker-controlled input.
-    fn from_u8(v: u8) -> Option<Tag> {
-        Some(match v {
-            0 => Tag::MovImm32,
-            1 => Tag::MovImm64,
-            2 => Tag::Mov,
-            3 => Tag::LoadStr,
-            4 => Tag::Load,
-            5 => Tag::Store,
-            6 => Tag::LoadIdx,
-            7 => Tag::StoreIdx,
-            8 => Tag::Alu3,
-            9 => Tag::Alu2,
-            10 => Tag::Alu2Mem,
-            11 => Tag::UnAlu,
-            12 => Tag::SetCc,
-            13 => Tag::CSel,
-            14 => Tag::Brnz,
-            15 => Tag::Jmp,
-            16 => Tag::Push,
-            17 => Tag::Call,
-            18 => Tag::Ret,
-            19 => Tag::Nop,
-            _ => return None,
-        })
+/// How an instruction carries its immediate.
+#[derive(Clone, Copy)]
+enum Imm {
+    None,
+    /// One byte.
+    U8,
+    /// Four little-endian bytes, zero-extended.
+    U32,
+    /// Four bytes, sign-extended; encoding checks that the value fits.
+    I32,
+    /// Eight little-endian bytes.
+    I64,
+}
+
+/// The bytes of one (arch, tag) pair: an optional prefix byte, the opcode,
+/// `regs` leading register fields, then the immediate.
+#[derive(Clone, Copy)]
+struct Layout {
+    prefix: Option<u8>,
+    opcode: u8,
+    regs: u8,
+    imm: Imm,
+    /// Register fields stored in reverse order and an `i32` big-endian.
+    mirrored: bool,
+}
+
+impl Layout {
+    const fn len(&self) -> usize {
+        let imm = match self.imm {
+            Imm::None => 0,
+            Imm::U8 => 1,
+            Imm::U32 | Imm::I32 => 4,
+            Imm::I64 => 8,
+        };
+        self.prefix.is_some() as usize + 1 + self.regs as usize + imm
     }
 }
 
-fn ppc_opcode(tag: Tag) -> u8 {
-    ((tag as u8).wrapping_mul(7).wrapping_add(3) & 0x7f) | 0x80
+/// The one description of every (arch, tag) layout.
+const fn layout(arch: Arch, tag: Tag) -> Layout {
+    let t = tag as u8;
+    let (prefix, opcode, regs, imm) = match arch {
+        Arch::Arm => (None, t + 0x20, 3, Imm::I32),
+        Arch::Ppc => {
+            let scrambled = (t.wrapping_mul(7).wrapping_add(3) & 0x7f) | 0x80;
+            (None, scrambled, 3, Imm::I32)
+        }
+        Arch::X86 | Arch::X64 => {
+            let (regs, imm) = match tag {
+                Tag::MovImm32 => (1, Imm::I32),
+                Tag::MovImm64 => (1, Imm::I64),
+                Tag::Mov => (2, Imm::None),
+                Tag::LoadStr | Tag::Brnz | Tag::Call => (1, Imm::U32),
+                Tag::Load | Tag::Store | Tag::Alu2Mem => (3, Imm::U32),
+                Tag::LoadIdx | Tag::StoreIdx => (2, Imm::I64),
+                Tag::Alu3 | Tag::SetCc | Tag::CSel => (3, Imm::U8),
+                Tag::Alu2 | Tag::UnAlu => (2, Imm::U8),
+                Tag::Jmp => (0, Imm::U32),
+                Tag::Push => (1, Imm::None),
+                Tag::Ret | Tag::Nop => (0, Imm::None),
+            };
+            match arch {
+                Arch::X64 => (Some(0x48), t + 0x50, regs, imm),
+                _ => (None, t + 0x10, regs, imm),
+            }
+        }
+    };
+    Layout {
+        prefix,
+        opcode,
+        regs,
+        imm,
+        mirrored: matches!(arch, Arch::Ppc),
+    }
 }
 
-fn ppc_tag(opcode: u8) -> Option<Tag> {
-    (0..TAG_COUNT)
-        .filter_map(Tag::from_u8)
-        .find(|t| ppc_opcode(*t) == opcode)
+/// One arch's decoding table, derived from [`layout`].
+struct Decoder {
+    /// The prefix byte every instruction starts with.
+    prefix: Option<u8>,
+    /// The shortest instruction: fewer bytes are truncated whatever the
+    /// opcode, so a fixed-width word is checked whole before its opcode.
+    min_len: usize,
+    /// The tag each opcode byte names.
+    by_opcode: [Option<Tag>; 256],
 }
 
+const fn decoder(arch: Arch) -> Decoder {
+    let mut d = Decoder {
+        // Every layout of an arch has the same prefix.
+        prefix: layout(arch, Tag::Nop).prefix,
+        min_len: usize::MAX,
+        by_opcode: [None; 256],
+    };
+    let mut i = 0;
+    while i < TAGS.len() {
+        let l = layout(arch, TAGS[i]);
+        assert!(d.by_opcode[l.opcode as usize].is_none(), "opcode collision");
+        d.by_opcode[l.opcode as usize] = Some(TAGS[i]);
+        if l.len() < d.min_len {
+            d.min_len = l.len();
+        }
+        i += 1;
+    }
+    d
+}
+
+/// Indexed by `arch as usize`.
+static DECODERS: [Decoder; 4] = [
+    decoder(Arch::X86),
+    decoder(Arch::X64),
+    decoder(Arch::Arm),
+    decoder(Arch::Ppc),
+];
+
+/// Unary ALU operations, in encoding order.
+const UNALU_OPS: [UnAluOp; 3] = [UnAluOp::Neg, UnAluOp::Not, UnAluOp::BitNot];
+
+/// The byte `v` encodes to: its position in its encoding-order table.
+pub(crate) fn table_byte<T: PartialEq>(table: &[T], v: &T) -> u8 {
+    table
+        .iter()
+        .position(|t| t == v)
+        .expect("every value is in its table") as u8
+}
+
+/// The entry a decoded byte names in its encoding-order table.
+fn table_entry<T: Copy>(
+    table: &[T],
+    byte: u8,
+    offset: usize,
+    what: &'static str,
+) -> Result<T, DecodeError> {
+    table
+        .get(byte as usize)
+        .copied()
+        .ok_or(DecodeError::BadField { offset, what })
+}
+
+/// The kind byte and slot of a memory operand: the inverse of [`mem_from`].
 fn mem_kind(m: Mem) -> (u8, u32) {
-    match m {
-        Mem::Frame(s) => (0, s),
-        Mem::Global(s) => (1, s),
-        Mem::Arg(s) => (2, s),
-    }
+    let (Mem::Frame(slot) | Mem::Global(slot) | Mem::Arg(slot)) = m;
+    let kind = (0..=u8::MAX).find(|&k| mem_from(k, slot, 0) == Ok(m));
+    (kind.expect("every memory kind decodes"), slot)
 }
 
 fn mem_from(kind: u8, slot: u32, offset: usize) -> Result<Mem, DecodeError> {
@@ -184,224 +305,129 @@ fn mem_from(kind: u8, slot: u32, offset: usize) -> Result<Mem, DecodeError> {
     })
 }
 
-fn alu_index(op: AluOp) -> u8 {
-    AluOp::ALL
-        .iter()
-        .position(|o| *o == op)
-        .expect("alu op in table") as u8
-}
-
 fn alu_from(i: u8, offset: usize) -> Result<AluOp, DecodeError> {
-    AluOp::ALL
-        .get(i as usize)
-        .copied()
-        .ok_or(DecodeError::BadField {
-            offset,
-            what: "alu op",
-        })
+    table_entry(&AluOp::ALL, i, offset, "alu op")
 }
 
-fn unalu_index(op: UnAluOp) -> u8 {
-    match op {
-        UnAluOp::Neg => 0,
-        UnAluOp::Not => 1,
-        UnAluOp::BitNot => 2,
-    }
-}
-
-fn unalu_from(i: u8, offset: usize) -> Result<UnAluOp, DecodeError> {
-    Ok(match i {
-        0 => UnAluOp::Neg,
-        1 => UnAluOp::Not,
-        2 => UnAluOp::BitNot,
-        _ => {
-            return Err(DecodeError::BadField {
-                offset,
-                what: "unary alu op",
-            })
-        }
-    })
-}
-
-fn cmp_index(op: CmpOp) -> u8 {
-    CmpOp::ALL
-        .iter()
-        .position(|o| *o == op)
-        .expect("cmp op in table") as u8
-}
-
-fn cmp_from(i: u8, offset: usize) -> Result<CmpOp, DecodeError> {
-    CmpOp::ALL
-        .get(i as usize)
-        .copied()
-        .ok_or(DecodeError::BadField {
-            offset,
-            what: "cmp op",
-        })
-}
-
-/// The `(tag, f1, f2, f3, imm)` field tuple all encodings serialize.
+/// The `(tag, register fields, imm)` tuple all encodings serialize.
 struct Fields {
     tag: Tag,
-    f1: u8,
-    f2: u8,
-    f3: u8,
+    regs: [u8; 3],
     imm: i64,
 }
 
 /// Deconstructs an instruction into encoding fields. `imm` carries branch
 /// byte-targets, slots, ALU selectors or immediates depending on the tag.
 fn to_fields(inst: &MInst) -> Fields {
-    let f = |tag, f1, f2, f3, imm| Fields {
-        tag,
-        f1,
-        f2,
-        f3,
-        imm,
-    };
+    let f = |tag, regs, imm| Fields { tag, regs, imm };
+    let alu = |op| table_byte(&AluOp::ALL, op);
     match inst {
         MInst::MovImm(rd, v) => {
             if i32::try_from(*v).is_ok() {
-                f(Tag::MovImm32, rd.0, 0, 0, *v)
+                f(Tag::MovImm32, [rd.0, 0, 0], *v)
             } else {
-                f(Tag::MovImm64, rd.0, 0, 0, *v)
+                f(Tag::MovImm64, [rd.0, 0, 0], *v)
             }
         }
-        MInst::Mov(rd, rs) => f(Tag::Mov, rd.0, rs.0, 0, 0),
-        MInst::LoadStr(rd, sid) => f(Tag::LoadStr, rd.0, 0, 0, *sid as i64),
+        MInst::Mov(rd, rs) => f(Tag::Mov, [rd.0, rs.0, 0], 0),
+        MInst::LoadStr(rd, sid) => f(Tag::LoadStr, [rd.0, 0, 0], *sid as i64),
         MInst::Load(rd, m) => {
             let (k, s) = mem_kind(*m);
-            f(Tag::Load, rd.0, k, 0, s as i64)
+            f(Tag::Load, [rd.0, k, 0], s as i64)
         }
         MInst::Store(m, rs) => {
             let (k, s) = mem_kind(*m);
-            f(Tag::Store, rs.0, k, 0, s as i64)
+            f(Tag::Store, [rs.0, k, 0], s as i64)
         }
         MInst::LoadIdx { rd, base, idx, len } => f(
             Tag::LoadIdx,
-            rd.0,
-            idx.0,
-            0,
+            [rd.0, idx.0, 0],
             ((*base as i64) << 20) | *len as i64,
         ),
         MInst::StoreIdx { rs, base, idx, len } => f(
             Tag::StoreIdx,
-            rs.0,
-            idx.0,
-            0,
+            [rs.0, idx.0, 0],
             ((*base as i64) << 20) | *len as i64,
         ),
-        MInst::Alu3(op, rd, ra, rb) => f(Tag::Alu3, rd.0, ra.0, rb.0, alu_index(*op) as i64),
-        MInst::Alu2(op, rd, rs) => f(Tag::Alu2, rd.0, rs.0, 0, alu_index(*op) as i64),
+        MInst::Alu3(op, rd, ra, rb) => f(Tag::Alu3, [rd.0, ra.0, rb.0], alu(op) as i64),
+        MInst::Alu2(op, rd, rs) => f(Tag::Alu2, [rd.0, rs.0, 0], alu(op) as i64),
         MInst::Alu2Mem(op, rd, m) => {
             let (k, s) = mem_kind(*m);
-            f(Tag::Alu2Mem, rd.0, k, alu_index(*op), s as i64)
+            f(Tag::Alu2Mem, [rd.0, k, alu(op)], s as i64)
         }
-        MInst::UnAlu(op, rd, rs) => f(Tag::UnAlu, rd.0, rs.0, 0, unalu_index(*op) as i64),
-        MInst::SetCc(cc, rd, ra, rb) => f(Tag::SetCc, rd.0, ra.0, rb.0, cmp_index(*cc) as i64),
-        MInst::CSel { rd, rc, ra, rb } => f(Tag::CSel, rd.0, rc.0, ra.0, rb.0 as i64),
-        MInst::Brnz(rc, t) => f(Tag::Brnz, rc.0, 0, 0, *t as i64),
-        MInst::Jmp(t) => f(Tag::Jmp, 0, 0, 0, *t as i64),
-        MInst::Push(r) => f(Tag::Push, r.0, 0, 0, 0),
-        MInst::Call { sym, argc } => f(Tag::Call, *argc, 0, 0, *sym as i64),
-        MInst::Ret => f(Tag::Ret, 0, 0, 0, 0),
-        MInst::Nop => f(Tag::Nop, 0, 0, 0, 0),
+        MInst::UnAlu(op, rd, rs) => {
+            let op = table_byte(&UNALU_OPS, op);
+            f(Tag::UnAlu, [rd.0, rs.0, 0], op as i64)
+        }
+        MInst::SetCc(cc, rd, ra, rb) => {
+            let cc = table_byte(&CmpOp::ALL, cc);
+            f(Tag::SetCc, [rd.0, ra.0, rb.0], cc as i64)
+        }
+        MInst::CSel { rd, rc, ra, rb } => f(Tag::CSel, [rd.0, rc.0, ra.0], rb.0 as i64),
+        MInst::Brnz(rc, t) => f(Tag::Brnz, [rc.0, 0, 0], *t as i64),
+        MInst::Jmp(t) => f(Tag::Jmp, [0; 3], *t as i64),
+        MInst::Push(r) => f(Tag::Push, [r.0, 0, 0], 0),
+        MInst::Call { sym, argc } => f(Tag::Call, [*argc, 0, 0], *sym as i64),
+        MInst::Ret => f(Tag::Ret, [0; 3], 0),
+        MInst::Nop => f(Tag::Nop, [0; 3], 0),
     }
 }
 
 /// Rebuilds an instruction from decoded fields.
 fn from_fields(fl: &Fields, offset: usize) -> Result<MInst, DecodeError> {
+    let [f1, f2, f3] = fl.regs.map(Reg);
     Ok(match fl.tag {
-        Tag::MovImm32 | Tag::MovImm64 => MInst::MovImm(Reg(fl.f1), fl.imm),
-        Tag::Mov => MInst::Mov(Reg(fl.f1), Reg(fl.f2)),
-        Tag::LoadStr => MInst::LoadStr(Reg(fl.f1), fl.imm as u32),
-        Tag::Load => MInst::Load(Reg(fl.f1), mem_from(fl.f2, fl.imm as u32, offset)?),
-        Tag::Store => MInst::Store(mem_from(fl.f2, fl.imm as u32, offset)?, Reg(fl.f1)),
+        Tag::MovImm32 | Tag::MovImm64 => MInst::MovImm(f1, fl.imm),
+        Tag::Mov => MInst::Mov(f1, f2),
+        Tag::LoadStr => MInst::LoadStr(f1, fl.imm as u32),
+        Tag::Load => MInst::Load(f1, mem_from(f2.0, fl.imm as u32, offset)?),
+        Tag::Store => MInst::Store(mem_from(f2.0, fl.imm as u32, offset)?, f1),
         Tag::LoadIdx => MInst::LoadIdx {
-            rd: Reg(fl.f1),
-            idx: Reg(fl.f2),
+            rd: f1,
+            idx: f2,
             base: (fl.imm >> 20) as u32,
             len: (fl.imm & 0xfffff) as u32,
         },
         Tag::StoreIdx => MInst::StoreIdx {
-            rs: Reg(fl.f1),
-            idx: Reg(fl.f2),
+            rs: f1,
+            idx: f2,
             base: (fl.imm >> 20) as u32,
             len: (fl.imm & 0xfffff) as u32,
         },
-        Tag::Alu3 => MInst::Alu3(
-            alu_from(fl.imm as u8, offset)?,
-            Reg(fl.f1),
-            Reg(fl.f2),
-            Reg(fl.f3),
-        ),
-        Tag::Alu2 => MInst::Alu2(alu_from(fl.imm as u8, offset)?, Reg(fl.f1), Reg(fl.f2)),
+        Tag::Alu3 => MInst::Alu3(alu_from(fl.imm as u8, offset)?, f1, f2, f3),
+        Tag::Alu2 => MInst::Alu2(alu_from(fl.imm as u8, offset)?, f1, f2),
         Tag::Alu2Mem => MInst::Alu2Mem(
-            alu_from(fl.f3, offset)?,
-            Reg(fl.f1),
-            mem_from(fl.f2, fl.imm as u32, offset)?,
+            alu_from(f3.0, offset)?,
+            f1,
+            mem_from(f2.0, fl.imm as u32, offset)?,
         ),
-        Tag::UnAlu => MInst::UnAlu(unalu_from(fl.imm as u8, offset)?, Reg(fl.f1), Reg(fl.f2)),
+        Tag::UnAlu => MInst::UnAlu(
+            table_entry(&UNALU_OPS, fl.imm as u8, offset, "unary alu op")?,
+            f1,
+            f2,
+        ),
         Tag::SetCc => MInst::SetCc(
-            cmp_from(fl.imm as u8, offset)?,
-            Reg(fl.f1),
-            Reg(fl.f2),
-            Reg(fl.f3),
+            table_entry(&CmpOp::ALL, fl.imm as u8, offset, "cmp op")?,
+            f1,
+            f2,
+            f3,
         ),
         Tag::CSel => MInst::CSel {
-            rd: Reg(fl.f1),
-            rc: Reg(fl.f2),
-            ra: Reg(fl.f3),
+            rd: f1,
+            rc: f2,
+            ra: f3,
             rb: Reg(fl.imm as u8),
         },
-        Tag::Brnz => MInst::Brnz(Reg(fl.f1), fl.imm as u32),
+        Tag::Brnz => MInst::Brnz(f1, fl.imm as u32),
         Tag::Jmp => MInst::Jmp(fl.imm as u32),
-        Tag::Push => MInst::Push(Reg(fl.f1)),
+        Tag::Push => MInst::Push(f1),
         Tag::Call => MInst::Call {
             sym: fl.imm as u32,
-            argc: fl.f1,
+            argc: f1.0,
         },
         Tag::Ret => MInst::Ret,
         Tag::Nop => MInst::Nop,
     })
-}
-
-/// Byte length of one encoded instruction on the given architecture.
-fn encoded_len(inst: &MInst, arch: Arch) -> usize {
-    match arch {
-        Arch::Arm | Arch::Ppc => 8,
-        Arch::X86 | Arch::X64 => {
-            let fl = to_fields(inst);
-            let body = match fl.tag {
-                Tag::MovImm64 => 1 + 1 + 8,
-                Tag::MovImm32 => 1 + 1 + 4,
-                Tag::Mov | Tag::Push | Tag::Ret | Tag::Nop => {
-                    1 + match fl.tag {
-                        Tag::Mov => 2,
-                        Tag::Push => 1,
-                        _ => 0,
-                    }
-                }
-                Tag::LoadStr => 1 + 1 + 4,
-                Tag::Jmp => 1 + 4,
-                Tag::Load | Tag::Store | Tag::Alu2Mem => 1 + 3 + 4,
-                Tag::LoadIdx | Tag::StoreIdx => 1 + 2 + 8,
-                Tag::Alu3 | Tag::SetCc | Tag::CSel => 1 + 4,
-                Tag::Alu2 | Tag::UnAlu => 1 + 3,
-                Tag::Brnz => 1 + 1 + 4,
-                Tag::Call => 1 + 1 + 4,
-            };
-            if arch == Arch::X64 {
-                body + 1
-            } else {
-                body
-            }
-        }
-    }
-}
-
-fn check_imm32(v: i64, arch: Arch) -> Result<i32, EncodeError> {
-    i32::try_from(v).map_err(|_| EncodeError::ImmOverflow { value: v, arch })
 }
 
 /// Encodes a function body. Branch targets in `insts` are instruction
@@ -412,12 +438,23 @@ fn check_imm32(v: i64, arch: Arch) -> Result<i32, EncodeError> {
 /// Returns [`EncodeError::ImmOverflow`] when a constant exceeds a
 /// fixed-width format (ARM/PPC carry 32-bit immediates).
 pub fn encode_function(insts: &[MInst], arch: Arch) -> Result<Vec<u8>, EncodeError> {
+    // One loop per arch, as in `decode_function`.
+    match arch {
+        Arch::X86 => encode_as(insts, Arch::X86),
+        Arch::X64 => encode_as(insts, Arch::X64),
+        Arch::Arm => encode_as(insts, Arch::Arm),
+        Arch::Ppc => encode_as(insts, Arch::Ppc),
+    }
+}
+
+#[inline(always)]
+fn encode_as(insts: &[MInst], arch: Arch) -> Result<Vec<u8>, EncodeError> {
     // Pass 1: byte offset of every instruction.
     let mut offsets = Vec::with_capacity(insts.len() + 1);
     let mut pos = 0usize;
     for inst in insts {
         offsets.push(pos as u32);
-        pos += encoded_len(inst, arch);
+        pos += layout(arch, to_fields(inst).tag).len();
     }
     offsets.push(pos as u32);
 
@@ -425,231 +462,84 @@ pub fn encode_function(insts: &[MInst], arch: Arch) -> Result<Vec<u8>, EncodeErr
     let mut out = Vec::with_capacity(pos);
     for inst in insts {
         let mut fl = to_fields(inst);
+        let l = layout(arch, fl.tag);
         if let Some(t) = inst.branch_target() {
             fl.imm = offsets[t as usize] as i64;
         }
-        match arch {
-            Arch::Arm => {
-                let imm = check_imm32(fl.imm, arch)?;
-                out.push(fl.tag as u8 + 0x20);
-                out.push(fl.f1);
-                out.push(fl.f2);
-                out.push(fl.f3);
-                out.extend_from_slice(&imm.to_le_bytes());
+        out.extend(l.prefix);
+        out.push(l.opcode);
+        let regs = &mut fl.regs[..l.regs as usize];
+        if l.mirrored {
+            regs.reverse();
+        }
+        out.extend_from_slice(regs);
+        match l.imm {
+            Imm::None => {}
+            Imm::U8 => out.push(fl.imm as u8),
+            Imm::U32 => out.extend_from_slice(&(fl.imm as u32).to_le_bytes()),
+            Imm::I32 => {
+                let v = i32::try_from(fl.imm).map_err(|_| EncodeError::ImmOverflow {
+                    value: fl.imm,
+                    arch,
+                })?;
+                out.extend_from_slice(&if l.mirrored {
+                    v.to_be_bytes()
+                } else {
+                    v.to_le_bytes()
+                });
             }
-            Arch::Ppc => {
-                let imm = check_imm32(fl.imm, arch)?;
-                out.push(ppc_opcode(fl.tag));
-                out.push(fl.f3);
-                out.push(fl.f2);
-                out.push(fl.f1);
-                out.extend_from_slice(&imm.to_be_bytes());
-            }
-            Arch::X86 | Arch::X64 => {
-                if arch == Arch::X64 {
-                    out.push(0x48);
-                }
-                let page = if arch == Arch::X64 { 0x50 } else { 0x10 };
-                out.push(fl.tag as u8 + page);
-                match fl.tag {
-                    Tag::MovImm64 => {
-                        out.push(fl.f1);
-                        out.extend_from_slice(&fl.imm.to_le_bytes());
-                    }
-                    Tag::MovImm32 => {
-                        out.push(fl.f1);
-                        out.extend_from_slice(&(fl.imm as i32).to_le_bytes());
-                    }
-                    Tag::Mov => {
-                        out.push(fl.f1);
-                        out.push(fl.f2);
-                    }
-                    Tag::Push => out.push(fl.f1),
-                    Tag::Ret | Tag::Nop => {}
-                    Tag::LoadStr | Tag::Jmp => {
-                        out.extend_from_slice(&(fl.imm as u32).to_le_bytes());
-                        if fl.tag == Tag::LoadStr {
-                            // rd rides in front of the imm for LoadStr.
-                            let at = out.len() - 4;
-                            out.insert(at, fl.f1);
-                        }
-                    }
-                    Tag::Load | Tag::Store | Tag::Alu2Mem => {
-                        out.push(fl.f1);
-                        out.push(fl.f2);
-                        out.push(fl.f3);
-                        out.extend_from_slice(&(fl.imm as u32).to_le_bytes());
-                    }
-                    Tag::LoadIdx | Tag::StoreIdx => {
-                        out.push(fl.f1);
-                        out.push(fl.f2);
-                        out.extend_from_slice(&fl.imm.to_le_bytes());
-                    }
-                    Tag::Alu3 | Tag::SetCc | Tag::CSel => {
-                        out.push(fl.f1);
-                        out.push(fl.f2);
-                        out.push(fl.f3);
-                        out.push(fl.imm as u8);
-                    }
-                    Tag::Alu2 | Tag::UnAlu => {
-                        out.push(fl.f1);
-                        out.push(fl.f2);
-                        out.push(fl.imm as u8);
-                    }
-                    Tag::Brnz => {
-                        out.push(fl.f1);
-                        out.extend_from_slice(&(fl.imm as u32).to_le_bytes());
-                    }
-                    Tag::Call => {
-                        out.push(fl.f1);
-                        out.extend_from_slice(&(fl.imm as u32).to_le_bytes());
-                    }
-                }
-            }
+            Imm::I64 => out.extend_from_slice(&fl.imm.to_le_bytes()),
         }
     }
     Ok(out)
 }
 
-fn take<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-    n: usize,
-    start: usize,
-) -> Result<&'a [u8], DecodeError> {
-    if *pos + n > bytes.len() {
-        return Err(DecodeError::Truncated { offset: start });
-    }
-    let s = &bytes[*pos..*pos + n];
-    *pos += n;
-    Ok(s)
-}
-
-fn read_u32le(bytes: &[u8], pos: &mut usize, start: usize) -> Result<u32, DecodeError> {
-    let s = take(bytes, pos, 4, start)?;
-    Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-}
-
 /// Decodes one instruction at `pos`, returning fields and advancing `pos`.
+#[inline(always)]
 fn decode_one(bytes: &[u8], pos: &mut usize, arch: Arch) -> Result<Fields, DecodeError> {
     let start = *pos;
-    match arch {
-        Arch::Arm => {
-            let s = take(bytes, pos, 8, start)?;
-            let tag =
-                s[0].checked_sub(0x20)
-                    .and_then(Tag::from_u8)
-                    .ok_or(DecodeError::BadOpcode {
-                        offset: start,
-                        opcode: s[0],
-                    })?;
-            let imm = i32::from_le_bytes([s[4], s[5], s[6], s[7]]) as i64;
-            Ok(Fields {
-                tag,
-                f1: s[1],
-                f2: s[2],
-                f3: s[3],
-                imm,
-            })
-        }
-        Arch::Ppc => {
-            let s = take(bytes, pos, 8, start)?;
-            let tag = ppc_tag(s[0]).ok_or(DecodeError::BadOpcode {
-                offset: start,
-                opcode: s[0],
-            })?;
-            let imm = i32::from_be_bytes([s[4], s[5], s[6], s[7]]) as i64;
-            Ok(Fields {
-                tag,
-                f1: s[3],
-                f2: s[2],
-                f3: s[1],
-                imm,
-            })
-        }
-        Arch::X86 | Arch::X64 => {
-            if arch == Arch::X64 {
-                let p = take(bytes, pos, 1, start)?;
-                if p[0] != 0x48 {
-                    return Err(DecodeError::BadOpcode {
-                        offset: start,
-                        opcode: p[0],
-                    });
-                }
-            }
-            let page = if arch == Arch::X64 { 0x50 } else { 0x10 };
-            let op = take(bytes, pos, 1, start)?[0];
-            let tag =
-                op.checked_sub(page)
-                    .and_then(Tag::from_u8)
-                    .ok_or(DecodeError::BadOpcode {
-                        offset: start,
-                        opcode: op,
-                    })?;
-            let mut fl = Fields {
-                tag,
-                f1: 0,
-                f2: 0,
-                f3: 0,
-                imm: 0,
-            };
-            match tag {
-                Tag::MovImm64 => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    let s = take(bytes, pos, 8, start)?;
-                    fl.imm = i64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]);
-                }
-                Tag::MovImm32 => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    let s = take(bytes, pos, 4, start)?;
-                    fl.imm = i32::from_le_bytes([s[0], s[1], s[2], s[3]]) as i64;
-                }
-                Tag::Mov => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    fl.f2 = take(bytes, pos, 1, start)?[0];
-                }
-                Tag::Push => fl.f1 = take(bytes, pos, 1, start)?[0],
-                Tag::Ret | Tag::Nop => {}
-                Tag::LoadStr => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    fl.imm = read_u32le(bytes, pos, start)? as i64;
-                }
-                Tag::Jmp => fl.imm = read_u32le(bytes, pos, start)? as i64,
-                Tag::Load | Tag::Store | Tag::Alu2Mem => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    fl.f2 = take(bytes, pos, 1, start)?[0];
-                    fl.f3 = take(bytes, pos, 1, start)?[0];
-                    fl.imm = read_u32le(bytes, pos, start)? as i64;
-                }
-                Tag::LoadIdx | Tag::StoreIdx => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    fl.f2 = take(bytes, pos, 1, start)?[0];
-                    let s = take(bytes, pos, 8, start)?;
-                    fl.imm = i64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]);
-                }
-                Tag::Alu3 | Tag::SetCc | Tag::CSel => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    fl.f2 = take(bytes, pos, 1, start)?[0];
-                    fl.f3 = take(bytes, pos, 1, start)?[0];
-                    fl.imm = take(bytes, pos, 1, start)?[0] as i64;
-                }
-                Tag::Alu2 | Tag::UnAlu => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    fl.f2 = take(bytes, pos, 1, start)?[0];
-                    fl.imm = take(bytes, pos, 1, start)?[0] as i64;
-                }
-                Tag::Brnz => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    fl.imm = read_u32le(bytes, pos, start)? as i64;
-                }
-                Tag::Call => {
-                    fl.f1 = take(bytes, pos, 1, start)?[0];
-                    fl.imm = read_u32le(bytes, pos, start)? as i64;
-                }
-            }
-            Ok(fl)
-        }
+    let d = &DECODERS[arch as usize];
+    let rest = bytes.get(start..).unwrap_or_default();
+    let truncated = DecodeError::Truncated { offset: start };
+    let bad_opcode = |opcode| DecodeError::BadOpcode {
+        offset: start,
+        opcode,
+    };
+    let head = match d.prefix {
+        Some(p) => match rest.first() {
+            Some(&b) if b != p => return Err(bad_opcode(b)),
+            _ => 1,
+        },
+        None => 0,
+    };
+    if rest.len() < d.min_len {
+        return Err(truncated);
     }
+    let opcode = rest[head];
+    let tag = d.by_opcode[opcode as usize].ok_or(bad_opcode(opcode))?;
+    let l = layout(arch, tag);
+    let word = rest.get(..l.len()).ok_or(truncated)?;
+    let (regs, imm) = word[head + 1..].split_at(l.regs as usize);
+    let reg = |k: usize| regs.get(k).copied().unwrap_or(0);
+    let mut fl = Fields {
+        tag,
+        regs: [reg(0), reg(1), reg(2)],
+        imm: 0,
+    };
+    if l.mirrored {
+        fl.regs[..regs.len()].reverse();
+    }
+    let b = |i: usize| imm[i];
+    fl.imm = match l.imm {
+        Imm::None => 0,
+        Imm::U8 => b(0) as i64,
+        Imm::U32 => u32::from_le_bytes([b(0), b(1), b(2), b(3)]) as i64,
+        Imm::I32 if l.mirrored => i32::from_be_bytes([b(0), b(1), b(2), b(3)]) as i64,
+        Imm::I32 => i32::from_le_bytes([b(0), b(1), b(2), b(3)]) as i64,
+        Imm::I64 => i64::from_le_bytes([b(0), b(1), b(2), b(3), b(4), b(5), b(6), b(7)]),
+    };
+    *pos = start + word.len();
+    Ok(fl)
 }
 
 /// Decodes a whole function body back to canonical form (branch targets
@@ -659,6 +549,18 @@ fn decode_one(bytes: &[u8], pos: &mut usize, arch: Arch) -> Result<Fields, Decod
 ///
 /// See [`DecodeError`].
 pub fn decode_function(bytes: &[u8], arch: Arch) -> Result<Vec<MInst>, DecodeError> {
+    // One loop per arch, inlined, so what `layout` fixes for a whole arch
+    // (prefix, widths, field order) folds to constants in it.
+    match arch {
+        Arch::X86 => decode_as(bytes, Arch::X86),
+        Arch::X64 => decode_as(bytes, Arch::X64),
+        Arch::Arm => decode_as(bytes, Arch::Arm),
+        Arch::Ppc => decode_as(bytes, Arch::Ppc),
+    }
+}
+
+#[inline(always)]
+fn decode_as(bytes: &[u8], arch: Arch) -> Result<Vec<MInst>, DecodeError> {
     let mut insts = Vec::new();
     let mut offsets = Vec::new();
     let mut pos = 0usize;
@@ -726,6 +628,13 @@ mod tests {
             MInst::Ret,
             MInst::Nop,
         ]
+    }
+
+    #[test]
+    fn tags_are_listed_in_discriminant_order() {
+        for (i, tag) in TAGS.into_iter().enumerate() {
+            assert_eq!(tag as usize, i, "{tag:?}");
+        }
     }
 
     #[test]

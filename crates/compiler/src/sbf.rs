@@ -9,6 +9,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use crate::encode::table_byte;
 use crate::isa::Arch;
 
 /// Kind of a symbol-table entry.
@@ -20,6 +21,9 @@ pub enum SymbolKind {
     /// binaries, like dynamic imports in real firmware).
     External,
 }
+
+/// Symbol kinds, in encoding order.
+const SYMBOL_KINDS: [SymbolKind; 2] = [SymbolKind::Function, SymbolKind::External];
 
 /// A symbol-table entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,12 +110,7 @@ impl Binary {
             w.write_all(s.as_bytes())
         }
         w.write_all(b"SBF1")?;
-        w.write_all(&[match self.arch {
-            Arch::X86 => 0,
-            Arch::X64 => 1,
-            Arch::Arm => 2,
-            Arch::Ppc => 3,
-        }])?;
+        w.write_all(&[table_byte(&Arch::ALL, &self.arch)])?;
         put_u32(&mut w, self.symbols.len() as u32)?;
         for s in &self.symbols {
             match &s.name {
@@ -121,10 +120,7 @@ impl Binary {
                 }
                 None => w.write_all(&[0])?,
             }
-            w.write_all(&[match s.kind {
-                SymbolKind::Function => 0,
-                SymbolKind::External => 1,
-            }])?;
+            w.write_all(&[table_byte(&SYMBOL_KINDS, &s.kind)])?;
             put_u32(&mut w, s.param_count)?;
             put_u32(&mut w, s.frame_size)?;
             w.write_all(&s.offset.to_le_bytes())?;
@@ -196,13 +192,9 @@ impl Binary {
         if &magic != b"SBF1" {
             return Err(bad("bad magic"));
         }
-        let arch = match get_u8(&mut r)? {
-            0 => Arch::X86,
-            1 => Arch::X64,
-            2 => Arch::Arm,
-            3 => Arch::Ppc,
-            _ => return Err(bad("unknown architecture")),
-        };
+        let arch = *Arch::ALL
+            .get(get_u8(&mut r)? as usize)
+            .ok_or_else(|| bad("unknown architecture"))?;
         let nsyms = get_u32(&mut r)? as usize;
         let mut symbols = Vec::with_capacity(nsyms.min(MAX_PREALLOC));
         for _ in 0..nsyms {
@@ -211,11 +203,9 @@ impl Binary {
                 0 => None,
                 _ => return Err(bad("bad name flag")),
             };
-            let kind = match get_u8(&mut r)? {
-                0 => SymbolKind::Function,
-                1 => SymbolKind::External,
-                _ => return Err(bad("bad symbol kind")),
-            };
+            let kind = *SYMBOL_KINDS
+                .get(get_u8(&mut r)? as usize)
+                .ok_or_else(|| bad("bad symbol kind"))?;
             let param_count = get_u32(&mut r)?;
             let frame_size = get_u32(&mut r)?;
             let offset = get_u64(&mut r)?;

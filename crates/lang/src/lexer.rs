@@ -109,7 +109,7 @@ const PUNCTS: &[&str] = &[
 ///
 /// Returns a [`LexError`] on an unterminated string literal, a malformed
 /// number, or an unexpected character.
-pub fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>, LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;

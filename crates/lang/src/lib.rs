@@ -40,6 +40,6 @@ pub use ast::{
     AssignOp, BinOp, Expr, Function, Global, IncDec, LValue, Param, Program, Stmt, SwitchCase, UnOp,
 };
 pub use interp::{external_call_result, EvalError, Interp};
-pub use lexer::{tokenize, LexError, Token};
+pub use lexer::{LexError, Token};
 pub use parser::{parse, ParseError};
-pub use pretty::{print_expr, print_function, print_program};
+pub use pretty::print_program;

@@ -116,10 +116,6 @@ impl Parser {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek2(&self) -> &Token {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
-    }
-
     fn advance(&mut self) -> Token {
         let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
         self.pos += 1;
@@ -581,14 +577,6 @@ fn expr_to_lvalue(e: &Expr) -> Option<LValue> {
         Expr::Var(name) => Some(LValue::Var(name.clone())),
         Expr::Index(name, idx) => Some(LValue::Index(name.clone(), idx.clone())),
         _ => None,
-    }
-}
-
-// Silence an unused warning: peek2 is kept for future grammar growth.
-impl Parser {
-    #[allow(dead_code)]
-    fn lookahead_is(&self, p: &str) -> bool {
-        matches!(self.peek2(), Token::Punct(q) if *q == p)
     }
 }
 

@@ -20,7 +20,7 @@ pub fn print_program(p: &Program) -> String {
 }
 
 /// Renders one function definition.
-pub fn print_function(f: &Function) -> String {
+pub(crate) fn print_function(f: &Function) -> String {
     let mut out = String::new();
     let params: Vec<String> = f.params.iter().map(|p| format!("int {}", p.name)).collect();
     let _ = writeln!(out, "int {}({}) {{", f.name, params.join(", "));
@@ -134,7 +134,7 @@ fn print_lvalue(lv: &LValue) -> String {
 }
 
 /// Renders an expression, fully parenthesized where needed.
-pub fn print_expr(e: &Expr) -> String {
+pub(crate) fn print_expr(e: &Expr) -> String {
     match e {
         Expr::Num(n) => {
             if *n < 0 {

@@ -10,7 +10,7 @@
 //!   finished spans locally; buffers are merged deterministically (by
 //!   start time, then a global sequence number) when a sink renders.
 //!   Worker pools propagate the caller's span path into workers via
-//!   [`current_path`] + [`push_thread_root`], so fan-out work nests
+//!   [`current_path`] + [`worker_scope`], so fan-out work nests
 //!   under the stage that spawned it.
 //! - **Metrics** — typed [`counter_add`]/[`gauge_set`] and
 //!   [`observe_seconds`] histograms with fixed bucket boundaries
@@ -427,13 +427,6 @@ pub fn current_path() -> Option<String> {
     span::current_path()
 }
 
-/// Makes `path` the root of the calling thread's span stack until the
-/// guard drops — how a worker pool nests its workers' spans under the
-/// span that spawned them.
-pub fn push_thread_root(path: &str) -> ThreadRootGuard {
-    span::push_thread_root(path)
-}
-
 /// Brackets a pool worker's closure: nests the worker's spans under
 /// `parent` (when given) and flushes the worker's span buffer when the
 /// guard drops. Worker pools must hold this for the closure's whole
@@ -555,7 +548,7 @@ mod tests {
             let parent = current_path().expect("inside a span");
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    let _root = push_thread_root(&parent);
+                    let _root = worker_scope(Some(&parent));
                     let _w = span("worker");
                     assert_eq!(current_path().as_deref(), Some("stage/worker"));
                 });

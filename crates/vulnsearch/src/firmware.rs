@@ -17,19 +17,20 @@ use asteria_lang::parse;
 
 use crate::library::CveEntry;
 
+/// Filler packages per image.
+const PACKAGES_PER_IMAGE: usize = 2;
+/// Functions per filler package.
+const FUNCTIONS_PER_PACKAGE: usize = 4;
+/// Probability a shipped CVE host copy is the *vulnerable* version.
+const VULNERABLE_PROBABILITY: f64 = 0.5;
+
 /// Firmware corpus parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct FirmwareConfig {
     /// Number of firmware images.
     pub images: usize,
-    /// Filler packages per image.
-    pub packages_per_image: usize,
-    /// Functions per filler package.
-    pub functions_per_package: usize,
     /// Probability an image ships a given CVE's host software at all.
     pub include_probability: f64,
-    /// Probability the shipped copy is the *vulnerable* version.
-    pub vulnerable_probability: f64,
     /// Master seed.
     pub seed: u64,
 }
@@ -38,10 +39,7 @@ impl Default for FirmwareConfig {
     fn default() -> Self {
         FirmwareConfig {
             images: 12,
-            packages_per_image: 2,
-            functions_per_package: 4,
             include_probability: 0.5,
-            vulnerable_probability: 0.5,
             seed: 77,
         }
     }
@@ -136,9 +134,9 @@ pub fn build_firmware_corpus(config: &FirmwareConfig, library: &[CveEntry]) -> V
         let mut planted = Vec::new();
 
         // Filler packages.
-        for p in 0..config.packages_per_image {
+        for p in 0..PACKAGES_PER_IMAGE {
             let gen_cfg = GenConfig {
-                functions: config.functions_per_package,
+                functions: FUNCTIONS_PER_PACKAGE,
                 max_depth: 2,
                 seed: config.seed ^ ((img_idx as u64) << 17) ^ p as u64,
             };
@@ -153,7 +151,7 @@ pub fn build_firmware_corpus(config: &FirmwareConfig, library: &[CveEntry]) -> V
             if !rng.gen_bool(config.include_probability) {
                 continue;
             }
-            let vulnerable = rng.gen_bool(config.vulnerable_probability);
+            let vulnerable = rng.gen_bool(VULNERABLE_PROBABILITY);
             let source = if vulnerable {
                 &entry.vulnerable_source
             } else {

@@ -469,7 +469,7 @@ impl<'a> Cursor<'a> {
 /// Digest of the extraction parameters that shape every cached
 /// embedding: the inline filter β and every [`DecompileLimits`] budget.
 /// Changing any of them invalidates the whole cache.
-pub fn extraction_params_digest(beta: usize, limits: &DecompileLimits) -> u64 {
+pub(crate) fn extraction_params_digest(beta: usize, limits: &DecompileLimits) -> u64 {
     let mut h = Fnv::new();
     h.write_usize(beta);
     h.write_usize(limits.max_instructions);
@@ -486,7 +486,7 @@ pub fn extraction_params_digest(beta: usize, limits: &DecompileLimits) -> u64 {
 /// parameters, and the model weights digest. Any change to any of the
 /// three yields a different fingerprint, which is how stale cache
 /// entries self-invalidate.
-pub fn fingerprint_binary(binary: &Binary, params_digest: u64, model_digest: u64) -> u64 {
+pub(crate) fn fingerprint_binary(binary: &Binary, params_digest: u64, model_digest: u64) -> u64 {
     let mut bytes = Vec::new();
     binary.save(&mut bytes).expect("in-memory save cannot fail");
     let mut h = Fnv::new();

@@ -28,10 +28,7 @@ pub mod search;
 pub mod session;
 
 pub use firmware::{build_firmware_corpus, FirmwareConfig, FirmwareImage, PlantedFunction};
-pub use index_io::{
-    extraction_params_digest, fingerprint_binary, CacheStats, CachedBinary, IndexCache, IndexError,
-    ASIX_MAGIC, ASIX_VERSION,
-};
+pub use index_io::{CacheStats, CachedBinary, IndexCache, IndexError, ASIX_MAGIC, ASIX_VERSION};
 pub use library::{vulnerability_library, CveEntry};
 pub use report::render_report;
 pub use search::{

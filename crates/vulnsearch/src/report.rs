@@ -24,7 +24,6 @@ use crate::search::CveSearchResult;
 ///     total_vulnerable: 5,
 ///     affected_models: vec!["netguard R8".into()],
 ///     top_hits: vec![true, true, true, true, true, false, false, false, false, false],
-///     top10_hits: 5,
 /// }];
 /// let md = render_report(&results);
 /// assert!(md.contains("| 1 | CVE-2016-2105 | openssl | evp_encode_update | 11 | 5 | 5 | netguard R8 |"));
@@ -70,7 +69,6 @@ mod tests {
                 total_vulnerable: 2,
                 affected_models: vec!["v m1".into(), "v m2".into()],
                 top_hits: vec![true, true, false],
-                top10_hits: 2,
             },
             CveSearchResult {
                 cve: "CVE-B".into(),
@@ -81,7 +79,6 @@ mod tests {
                 total_vulnerable: 1,
                 affected_models: vec![],
                 top_hits: vec![false, false],
-                top10_hits: 0,
             },
         ]
     }

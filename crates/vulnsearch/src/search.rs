@@ -127,9 +127,6 @@ pub struct CveSearchResult {
     /// of this CVE. Lets top-k accuracy count hits strictly within the
     /// top k for any k ≤ 10.
     pub top_hits: Vec<bool>,
-    /// True positives within the top-10 ranked results (§V end-to-end);
-    /// equals `top_hits.iter().filter(|h| **h).count()`.
-    pub top10_hits: usize,
 }
 
 /// Top-k accuracy across CVEs: the fraction of top-k slots filled with
@@ -207,7 +204,6 @@ mod tests {
             total_vulnerable: 1,
             affected_models: vec![],
             top_hits,
-            top10_hits: 1,
         };
         assert_eq!(top_k_accuracy(std::slice::from_ref(&r), 10), 1.0);
         assert_eq!(top_k_accuracy(std::slice::from_ref(&r), 5), 0.0);

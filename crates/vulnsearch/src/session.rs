@@ -675,7 +675,6 @@ impl SearchSession {
                 .take(10)
                 .map(|h| self.index.functions[h.function].ground_truth == Some((cve_index, true)))
                 .collect();
-            let top10_hits = top_hits.iter().filter(|h| **h).count();
             let total_vulnerable = self
                 .index
                 .functions
@@ -691,7 +690,6 @@ impl SearchSession {
                 total_vulnerable,
                 affected_models: affected,
                 top_hits,
-                top10_hits,
             });
         }
         Ok(results)
@@ -814,7 +812,6 @@ mod tests {
         for r in &results {
             assert!(r.confirmed <= r.candidates);
             assert!(r.top_hits.len() <= 10);
-            assert_eq!(r.top10_hits, r.top_hits.iter().filter(|h| **h).count());
         }
     }
 

@@ -11,11 +11,15 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use asteria::compiler::{compile_program, decode_function, Arch, Binary};
+use asteria::compiler::{
+    compile_program, decode_function, encode_function, Arch, Binary, DecodeError, MInst,
+};
 use asteria::core::{extract_binary, AsteriaModel, ModelConfig, DEFAULT_INLINE_BETA};
 use asteria::corrupt::Corruptor;
+use asteria::datasets::{generate_package, GenConfig};
 use asteria::decompiler::{decompile_function_with, DecompileLimits};
 use asteria::lang::parse;
+use asteria::nn::Fnv;
 use asteria::vulnsearch::{
     build_firmware_corpus, vulnerability_library, FirmwareConfig, FunctionQuery, IndexBuilder,
     IndexCache, SearchSession,
@@ -103,6 +107,68 @@ fn disassemblers_survive_random_streams() {
             });
         }
     }
+}
+
+/// Decodes `bytes` as `arch` and feeds the `Debug` text of the result
+/// (instructions, or the error kind and offset) to `h`.
+fn hash_decode(h: &mut Fnv, bytes: &[u8], arch: Arch) -> Result<Vec<MInst>, DecodeError> {
+    let decoded = decode_function(bytes, arch);
+    h.write(format!("{arch} {decoded:?}").as_bytes());
+    h.write(&[0]);
+    decoded
+}
+
+/// Decode golden digest: FNV-1a over the code bytes of every function of
+/// 50 generated packages on every ISA and the `Debug` text of
+/// `decode_function` on each one, on seeded truncations, bit flips, byte
+/// overwrites and random tails of it, and on its bytes read as every other
+/// ISA. Re-encoding each decoded function must give back its bytes.
+/// Computed once, never regenerated: any change to what the four
+/// instruction layouts encode or decode fails it.
+#[test]
+fn decode_golden_digest() {
+    const GOLDEN: u64 = 0x926c_5688_532b_55af;
+    let mut h = Fnv::new();
+    let mut cases = 0usize;
+    for k in 0..50u64 {
+        let (_, program) = generate_package(&format!("decode{k}"), &GenConfig::default());
+        for arch in Arch::ALL {
+            let binary = compile_program(&program, arch).expect("compile");
+            let codes = binary.symbols.iter().map(|s| &s.code);
+            for (i, code) in codes.filter(|c| !c.is_empty()).enumerate() {
+                h.write(code);
+                let insts = hash_decode(&mut h, code, arch).expect("compiled code decodes");
+                assert_eq!(encode_function(&insts, arch).as_ref(), Ok(code), "{arch}");
+                for other in Arch::ALL.into_iter().filter(|a| *a != arch) {
+                    hash_decode(&mut h, code, other).ok();
+                }
+                let mut c = Corruptor::new(k << 32 | (arch as u64) << 16 | i as u64);
+                for _ in 0..4 {
+                    let flips = 1 + c.below(8);
+                    let tail = 1 + c.below(16);
+                    let mut tailed = code.clone();
+                    tailed.extend(c.random_stream(tail));
+                    let mutants = [
+                        c.truncate(code),
+                        c.bit_flips(code, flips),
+                        c.splice(code, 16),
+                        tailed,
+                    ];
+                    for m in &mutants {
+                        hash_decode(&mut h, m, arch).ok();
+                    }
+                }
+                cases += 1 + 3 + 16;
+            }
+        }
+    }
+    h.write_usize(cases);
+    assert_eq!(
+        h.finish(),
+        GOLDEN,
+        "decoding of {cases} cases changed (digest {:#018x})",
+        h.finish()
+    );
 }
 
 /// Corrupted function code through *full decompilation* under default

@@ -173,7 +173,6 @@ fn decompiled_text_golden_digest() {
             images: 48,
             include_probability: 1.0,
             seed,
-            ..FirmwareConfig::default()
         };
         for image in build_firmware_corpus(&config, &library) {
             binaries.extend(image.binaries);
