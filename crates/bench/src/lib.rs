@@ -1,27 +1,38 @@
 //! `asteria-bench` — experiment harnesses regenerating every table and
 //! figure of the paper.
 //!
-//! Each table/figure has a dedicated binary (`table1_nodes`, `fig6_roc`,
-//! …) that prints the same rows/series the paper reports. All binaries
-//! accept `--scale smoke|mid|paper` (default `smoke`) and `--quiet` /
-//! `--verbose` ([`HarnessArgs`]): `smoke` finishes on one CPU core in
-//! minutes; `mid` and `paper` raise corpus sizes and epochs toward the
-//! paper's scale.
+//! The `reproduce` binary renders every table and figure ([`tables`]) at
+//! one scale and records each in `results/` ([`results_path`]). It builds
+//! each [`Dataset`], sets the [`Experiment`] up and trains each distinct
+//! model once. `fig10_overhead`, `bench_offline` and `bench_serve` time
+//! the pipeline instead. All binaries accept `--scale smoke|mid|paper`
+//! (default `smoke`) and `--quiet` / `--verbose` ([`HarnessArgs`]):
+//! `smoke` finishes on one CPU core in minutes; `mid` and `paper` raise
+//! corpus sizes and epochs toward the paper's scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use asteria::baselines::{extract_acfg, train_gemini, Acfg, GeminiConfig, GeminiModel};
+use asteria::baselines::{
+    diaphora_similarity, extract_acfg, hash_ast, train_gemini, Acfg, DiaphoraHash, GeminiConfig,
+    GeminiModel,
+};
+use asteria::compiler::Binary;
 use asteria::core::{
-    calibrated_similarity, encode_functions, train, AsteriaModel, ModelConfig, TrainOptions,
+    calibrated_similarity, digitalize, encode_functions, train, AstTree, AsteriaModel, ModelConfig,
+    TrainOptions,
 };
 use asteria::datasets::{
-    build_corpus_with_extra, build_pairs, to_train_pairs, Corpus, CorpusConfig, Pair, PairConfig,
-    PairSet,
+    build_corpus, build_corpus_with_extra, build_pairs, to_train_pairs, Corpus, CorpusConfig, Pair,
+    PairConfig, PairSet,
 };
+use asteria::decompiler::decompile_function;
 use asteria::eval::{auc, ScoredPair};
+
+pub mod tables;
 
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,41 +174,132 @@ impl HarnessArgs {
     }
 }
 
-/// A ready-to-evaluate experiment context: corpus, split pair sets, and
-/// trained Asteria + Gemini models.
-pub struct Experiment {
-    /// The cross-compiled corpus.
-    pub corpus: Corpus,
-    /// Training pairs (80%).
-    pub train_set: PairSet,
-    /// Held-out pairs (20%).
-    pub test_set: PairSet,
-    /// Trained Asteria model, shared so search sessions can hold it.
-    pub asteria: Arc<AsteriaModel>,
-    /// Trained Gemini model.
-    pub gemini: GeminiModel,
-    /// ACFGs for every corpus instance (aligned with `corpus.instances`).
-    pub acfgs: Vec<Acfg>,
+/// Where `reproduce` records `table` at `scale`, under the workspace
+/// root: `results/<table>.txt` at smoke, `results/<table>_<scale>.txt`
+/// at mid and paper.
+pub fn results_path(table: &str, scale: Scale) -> PathBuf {
+    let name = match scale {
+        Scale::Smoke => format!("{table}.txt"),
+        Scale::Mid => format!("{table}_mid.txt"),
+        Scale::Paper => format!("{table}_paper.txt"),
+    };
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2);
+    root.expect("crates/bench sits two levels under the workspace root")
+        .join("results")
+        .join(name)
 }
 
-/// Extracts the ACFG of every corpus instance.
-pub fn corpus_acfgs(corpus: &Corpus) -> Vec<Acfg> {
-    corpus
-        .instances
+/// A cross-compiled corpus with its sampled pairs and their 80/20 split.
+#[derive(Clone)]
+pub struct Dataset {
+    /// The scale the corpus and pairs were built at.
+    pub(crate) scale: Scale,
+    /// The cross-compiled corpus.
+    pub(crate) corpus: Corpus,
+    /// Every sampled pair.
+    pub(crate) pairs: PairSet,
+    /// Training pairs (80%).
+    pub(crate) train_set: PairSet,
+    /// Held-out pairs (20%).
+    pub(crate) test_set: PairSet,
+}
+
+impl Dataset {
+    /// The plain generated corpus at `scale`, as Tables I–III count it.
+    pub fn plain(scale: Scale) -> Dataset {
+        Dataset::of(scale, build_corpus(&scale.corpus_config()))
+    }
+
+    fn of(scale: Scale, corpus: Corpus) -> Dataset {
+        let pairs = build_pairs(&corpus, &scale.pair_config());
+        let (train_set, test_set) = pairs.split(0.8, 5);
+        Dataset {
+            scale,
+            corpus,
+            pairs,
+            train_set,
+            test_set,
+        }
+    }
+
+    /// Digitalizes instance `i` afresh from its binary.
+    fn digitalized(&self, i: usize) -> AstTree {
+        let (binary, sym) = instance_symbol(&self.corpus, i);
+        digitalize(&decompile_function(binary, sym).expect("decompile"))
+    }
+}
+
+/// The binary instance `i` of `corpus` was extracted from, and its symbol.
+fn instance_symbol(corpus: &Corpus, i: usize) -> (&Binary, usize) {
+    let inst = &corpus.instances[i];
+    let cb = corpus
+        .binaries
         .iter()
-        .map(|inst| {
-            let cb = corpus
-                .binaries
-                .iter()
-                .find(|b| b.package == inst.package && b.arch == inst.arch)
-                .expect("binary for instance");
-            let sym = cb
-                .binary
-                .symbol_index(&inst.name)
-                .expect("symbol for instance");
-            extract_acfg(&cb.binary, sym).expect("acfg extraction")
-        })
-        .collect()
+        .find(|b| b.package == inst.package && b.arch == inst.arch)
+        .expect("binary for instance");
+    let sym = cb
+        .binary
+        .symbol_index(&inst.name)
+        .expect("symbol for instance");
+    (&cb.binary, sym)
+}
+
+/// An Asteria model trained on a [`Dataset`] with its best validation
+/// AUCs on the held-out split over the epochs.
+pub struct Trained {
+    /// The model, restored to its best epoch by calibrated AUC.
+    pub(crate) model: AsteriaModel,
+    /// Best calibrated AUC ("Asteria").
+    pub(crate) auc: f64,
+    /// Best uncalibrated AUC ("Asteria-WOC"). Validation only picks the
+    /// epoch to restore, so every epoch's weights, and this maximum, are
+    /// the same whichever AUC picks it.
+    pub(crate) auc_woc: f64,
+}
+
+impl Trained {
+    /// Trains a `config` model on `data`'s training pairs for the scale's
+    /// epochs (shuffling seed 7), validating after each epoch.
+    pub fn new(data: &Dataset, config: ModelConfig) -> Trained {
+        let mut model = AsteriaModel::new(config);
+        let (mut best, mut best_woc) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        let mut validate = |m: &AsteriaModel| {
+            let score =
+                |calibrate| auc(&asteria_scores(m, &data.corpus, &data.test_set, calibrate));
+            best_woc = best_woc.max(score(false));
+            let calibrated = score(true);
+            best = best.max(calibrated);
+            calibrated
+        };
+        train(
+            &mut model,
+            &to_train_pairs(&data.corpus, &data.train_set),
+            &TrainOptions {
+                epochs: data.scale.epochs(),
+                seed: 7,
+                verbose: false,
+            },
+            Some(&mut validate),
+        );
+        Trained {
+            model,
+            auc: best,
+            auc_woc: best_woc,
+        }
+    }
+}
+
+/// A ready-to-evaluate experiment context: the training corpus with the
+/// CVE library's patched functions, and trained Asteria + Gemini models.
+pub struct Experiment {
+    /// The corpus, pairs and split.
+    pub(crate) data: Dataset,
+    /// Trained Asteria model, shared so search sessions can hold it.
+    pub(crate) asteria: Arc<AsteriaModel>,
+    /// Trained Gemini model.
+    pub(crate) gemini: GeminiModel,
+    /// ACFGs for every corpus instance (aligned with `corpus.instances`).
+    pub(crate) acfgs: Vec<Acfg>,
 }
 
 impl Experiment {
@@ -214,104 +316,74 @@ impl Experiment {
             .enumerate()
             .map(|(i, (n, s))| (format!("{n}{i}"), s))
             .collect();
-        let corpus = build_corpus_with_extra(&scale.corpus_config(), &library_pkg);
+        let data = Dataset::of(
+            scale,
+            build_corpus_with_extra(&scale.corpus_config(), &library_pkg),
+        );
         asteria::obs::info!(
             "[setup] corpus: {} binaries, {} function instances",
-            corpus.binaries.len(),
-            corpus.instances.len()
+            data.corpus.binaries.len(),
+            data.corpus.instances.len()
         );
-        let pairs = build_pairs(&corpus, &scale.pair_config());
-        let (train_set, test_set) = pairs.split(0.8, 5);
         asteria::obs::info!(
             "[setup] pairs: {} train / {} test",
-            train_set.len(),
-            test_set.len()
+            data.train_set.len(),
+            data.test_set.len()
         );
 
         asteria::obs::info!("[setup] training Asteria ({} epochs)…", scale.epochs());
-        let mut asteria = AsteriaModel::new(ModelConfig::default());
-        let train_pairs = to_train_pairs(&corpus, &train_set);
-        {
-            let corpus_ref = &corpus;
-            let test_ref = &test_set;
-            let mut validate =
-                |m: &AsteriaModel| -> f64 { auc(&asteria_scores(m, corpus_ref, test_ref, true)) };
-            train(
-                &mut asteria,
-                &train_pairs,
-                &TrainOptions {
-                    epochs: scale.epochs(),
-                    seed: 7,
-                    verbose: false,
-                },
-                Some(&mut validate),
-            );
-        }
+        let asteria = Trained::new(&data, ModelConfig::default()).model;
 
         asteria::obs::info!("[setup] extracting ACFGs…");
-        let acfgs = corpus_acfgs(&corpus);
+        let acfgs: Vec<Acfg> = (0..data.corpus.instances.len())
+            .map(|i| {
+                let (binary, sym) = instance_symbol(&data.corpus, i);
+                extract_acfg(binary, sym).expect("acfg extraction")
+            })
+            .collect();
         asteria::obs::info!("[setup] training Gemini ({} epochs)…", scale.epochs());
         let mut gemini = GeminiModel::new(GeminiConfig::default());
-        let gemini_pairs: Vec<(Acfg, Acfg, bool)> = train_set
+        let gemini_pairs: Vec<(Acfg, Acfg, bool)> = data
+            .train_set
             .pairs
             .iter()
             .map(|p| (acfgs[p.a].clone(), acfgs[p.b].clone(), p.homologous))
             .collect();
-        {
-            let acfgs_ref = &acfgs;
-            let test_ref = &test_set;
-            let mut validate =
-                |m: &GeminiModel| -> f64 { auc(&gemini_scores_with(m, acfgs_ref, test_ref)) };
-            train_gemini(
-                &mut gemini,
-                &gemini_pairs,
-                scale.epochs(),
-                9,
-                Some(&mut validate),
-            );
-        }
+        let mut validate = |m: &GeminiModel| auc(&gemini_scores(m, &acfgs, &data.test_set));
+        train_gemini(
+            &mut gemini,
+            &gemini_pairs,
+            scale.epochs(),
+            9,
+            Some(&mut validate),
+        );
         asteria::obs::info!("[setup] done.");
         Experiment {
-            corpus,
-            train_set,
-            test_set,
+            data,
             asteria: Arc::new(asteria),
             gemini,
             acfgs,
         }
     }
 
-    /// Scored test pairs for Asteria (with or without calibration —
+    /// Scored pairs for Asteria (with or without calibration —
     /// "Asteria" vs "Asteria-WOC" in Figs. 6–7).
-    pub fn asteria_scores(&self, set: &PairSet, calibrate: bool) -> Vec<ScoredPair> {
-        asteria_scores(&self.asteria, &self.corpus, set, calibrate)
+    pub(crate) fn asteria_scores(&self, set: &PairSet, calibrate: bool) -> Vec<ScoredPair> {
+        asteria_scores(&self.asteria, &self.data.corpus, set, calibrate)
     }
 
-    /// Scored test pairs for Gemini.
-    pub fn gemini_scores(&self, set: &PairSet) -> Vec<ScoredPair> {
-        gemini_scores_with(&self.gemini, &self.acfgs, set)
+    /// Scored pairs for Gemini.
+    pub(crate) fn gemini_scores(&self, set: &PairSet) -> Vec<ScoredPair> {
+        gemini_scores(&self.gemini, &self.acfgs, set)
     }
 
-    /// Scored test pairs for Diaphora.
-    pub fn diaphora_scores(&self, set: &PairSet) -> Vec<ScoredPair> {
-        use asteria::baselines::{diaphora_similarity, hash_ast, DiaphoraHash};
-        use asteria::core::digitalize;
-        let mut hashes: Vec<Option<DiaphoraHash>> = vec![None; self.corpus.instances.len()];
-        let corpus = &self.corpus;
+    /// Scored pairs for Diaphora.
+    pub(crate) fn diaphora_scores(&self, set: &PairSet) -> Vec<ScoredPair> {
+        let mut hashes: Vec<Option<DiaphoraHash>> = vec![None; self.data.corpus.instances.len()];
         let mut hash_of = |i: usize| {
-            if hashes[i].is_none() {
-                let inst = &corpus.instances[i];
-                let cb = corpus
-                    .binaries
-                    .iter()
-                    .find(|b| b.package == inst.package && b.arch == inst.arch)
-                    .expect("binary");
-                let sym = cb.binary.symbol_index(&inst.name).expect("symbol");
-                let df =
-                    asteria::decompiler::decompile_function(&cb.binary, sym).expect("decompile");
-                hashes[i] = Some(hash_ast(&digitalize(&df)));
-            }
-            hashes[i].clone().expect("just computed")
+            hashes[i]
+                .get_or_insert_with(|| hash_ast(&self.data.digitalized(i)))
+                .clone()
         };
         set.pairs
             .iter()
@@ -324,9 +396,8 @@ impl Experiment {
     }
 }
 
-/// Asteria scores over a pair set (standalone so validation closures can
-/// use it during training).
-pub fn asteria_scores(
+/// Asteria scores over a pair set of `corpus`.
+fn asteria_scores(
     model: &AsteriaModel,
     corpus: &Corpus,
     set: &PairSet,
@@ -368,7 +439,7 @@ pub fn asteria_scores(
 }
 
 /// Gemini scores over a pair set.
-pub fn gemini_scores_with(model: &GeminiModel, acfgs: &[Acfg], set: &PairSet) -> Vec<ScoredPair> {
+fn gemini_scores(model: &GeminiModel, acfgs: &[Acfg], set: &PairSet) -> Vec<ScoredPair> {
     let mut emb: Vec<Option<Vec<f32>>> = vec![None; acfgs.len()];
     let mut embed = |i: usize| {
         if emb[i].is_none() {

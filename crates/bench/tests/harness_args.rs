@@ -5,14 +5,14 @@ use std::process::Command;
 
 #[test]
 fn harnesses_reject_what_they_do_not_take() {
-    let table3 = env!("CARGO_BIN_EXE_table3_pairs");
+    let reproduce = env!("CARGO_BIN_EXE_reproduce");
     let offline = env!("CARGO_BIN_EXE_bench_offline");
     for (bin, args) in [
-        (table3, vec!["--scale", "pape"]),
-        (table3, vec!["--scale"]),
-        (table3, vec!["--paper"]),
-        (table3, vec!["--threads", "4"]),
-        (table3, vec!["--scale", "mid", "--scale", "mid"]),
+        (reproduce, vec!["--scale", "pape"]),
+        (reproduce, vec!["--scale"]),
+        (reproduce, vec!["--paper"]),
+        (reproduce, vec!["--threads", "4"]),
+        (reproduce, vec!["--scale", "mid", "--scale", "mid"]),
         (offline, vec!["--threads", "x"]),
         (offline, vec!["--quiet", "--thread", "4"]),
     ] {

@@ -102,8 +102,8 @@ fn diaphora_beats_chance_and_asteria_is_competitive() {
         .collect();
     let a_auc = auc(&asteria);
     // At this miniature scale (6 packages, 6 epochs) the full superiority
-    // claim is noisy; the proper-scale comparison lives in the fig6_roc
-    // harness. Here we assert the shape cannot invert badly.
+    // claim is noisy; the proper-scale comparison is `reproduce`'s Fig. 6
+    // table. Here we assert the shape cannot invert badly.
     assert!(a_auc > 0.9, "Asteria should be strong: {a_auc:.4}");
     assert!(
         a_auc > d_auc - 0.05,
