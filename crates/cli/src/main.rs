@@ -149,8 +149,8 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         synopsis: "serve --listen ADDR | --stdio [--model <model.bin>] [--index <index.asix>] \
-                   [--images N] [--seed S] [--threads N] [--batch-size N] [--batch-wait-ms MS] \
-                   [--queue-capacity N] [--deadline-ms MS] [--max-request-bytes N]",
+                   [--images N] [--seed S] [--threads N] [--batch-size N] [--queue-capacity N] \
+                   [--deadline-ms MS] [--max-request-bytes N]",
         positionals: 0..=0,
         run: cmd_serve,
     },
@@ -670,7 +670,6 @@ fn cmd_serve(args: &Args, out: &mut Out) -> Result<(), CliError> {
     let defaults = ServeConfig::default();
     let config = ServeConfig {
         batch_size: args.number("--batch-size", defaults.batch_size)?,
-        batch_wait_ms: args.number("--batch-wait-ms", defaults.batch_wait_ms)?,
         queue_capacity: args.number("--queue-capacity", defaults.queue_capacity)?,
         default_deadline_ms: args.number("--deadline-ms", defaults.default_deadline_ms)?,
         max_request_bytes: args.number("--max-request-bytes", defaults.max_request_bytes)?,

@@ -422,18 +422,18 @@ fn index_usage_errors_exit_with_code_2() {
 
 #[test]
 fn serve_rejects_unknown_flags_with_exit_2() {
-    // A mistyped flag must fail loudly rather than fall back to a
-    // default; the check runs before any index is built.
-    let out = cli()
-        .args(["serve", "--stdio", "--images", "1", "--batch-wiat-ms", "7"])
-        .output()
-        .expect("spawn");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("usage error:") && err.contains("--batch-wiat-ms"),
-        "{err}"
-    );
+    // A mistyped flag, or one `serve` no longer has, must fail loudly
+    // rather than fall back to a default; the check runs before any
+    // index is built.
+    for (bad, value) in [("--batch-wiat-ms", "7"), ("--batch-wait-ms", "5")] {
+        let out = cli()
+            .args(["serve", "--stdio", "--images", "1", bad, value])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage error:") && err.contains(bad), "{err}");
+    }
 }
 
 #[test]

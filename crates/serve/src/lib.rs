@@ -7,27 +7,29 @@
 //! index build) would dwarf the query itself.
 //!
 //! Std-only by design, like `asteria-obs`: the protocol ([`proto`]),
-//! its JSON support ([`json`]), the bounded backpressure queue
-//! ([`queue`]), and the SIGINT/SIGTERM shim ([`signal`]) are all in this
-//! crate.
+//! its JSON support ([`json`]), the bounded backpressure queue, and the
+//! SIGINT/SIGTERM shim ([`signal`]) are all in this crate.
 //!
 //! # Architecture
 //!
 //! ```text
-//! TCP clients ──► per-conn reader ──try_push──► BoundedQueue ──► batcher ──► SearchSession::query_batch
-//!                     │                  (full → overloaded)        │
-//!                     └◄── per-conn writer ◄── mpsc<String> ◄───────┘
+//! TCP clients ──► per-conn reader ──try_push──► BoundedQueue ──► batcher × W ──► SearchSession::query_batch
+//!                     │                  (full → overloaded)          │
+//!                     └◄── per-conn writer ◄── mpsc<String> ◄─────────┘
 //! ```
 //!
-//! - **Batching**: the single batcher thread pops up to
-//!   [`ServeConfig::batch_size`] requests, dwelling up to
-//!   [`ServeConfig::batch_wait_ms`] so bursts coalesce, and answers them
-//!   with one [`SearchSession::query_batch`] call (which deduplicates
-//!   identical in-flight queries — the hot-query win).
+//! - **Batching**: one batcher thread per session worker (W, the
+//!   session's resolved thread count) pops from the one queue. A batcher
+//!   blocks for the first request, takes whatever else is already queued
+//!   up to [`ServeConfig::batch_size`] without waiting for more, and
+//!   answers the batch serially with one [`SearchSession::query_batch`]
+//!   call (which deduplicates identical in-flight queries — the
+//!   hot-query win). Concurrent requests are answered in parallel by
+//!   different batchers.
 //! - **Backpressure**: the queue is bounded; a full queue yields an
 //!   immediate typed `overloaded` error instead of unbounded growth.
 //! - **Panic isolation**: a panic while a batch is answered fails that
-//!   batch alone, with a typed `internal` error per request; the batcher
+//!   batch alone, with a typed `internal` error per request; its batcher
 //!   keeps serving.
 //! - **Deadlines**: each request may carry `deadline_ms`; requests whose
 //!   deadline passed while queued get `deadline_exceeded` instead of
@@ -44,7 +46,7 @@
 
 pub mod json;
 pub mod proto;
-pub mod queue;
+mod queue;
 pub mod signal;
 
 use std::io::{self, Read, Write};
@@ -71,11 +73,8 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// Server tunables. `Default` gives the production settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Maximum queries answered by one `query_batch` call.
+    /// Maximum queries one batcher answers with one `query_batch` call.
     pub batch_size: usize,
-    /// How long the batcher dwells (ms) after the first query of a batch
-    /// to let the batch fill. `0` disables batching delay.
-    pub batch_wait_ms: u64,
     /// Bound of the request queue — the backpressure point.
     pub queue_capacity: usize,
     /// Default relative deadline (ms) for requests that carry none;
@@ -94,7 +93,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             batch_size: 16,
-            batch_wait_ms: 5,
             queue_capacity: 256,
             default_deadline_ms: 0,
             max_request_bytes: 1 << 20,
@@ -169,7 +167,7 @@ impl Outcome {
     }
 }
 
-/// One enqueued query awaiting the batcher.
+/// One enqueued query awaiting a batcher.
 struct Pending {
     id: Json,
     query: FunctionQuery,
@@ -178,7 +176,7 @@ struct Pending {
     reply: mpsc::Sender<String>,
 }
 
-/// State shared by the accept loop, connection threads, and the batcher.
+/// State shared by the accept loop, connection threads, and the batchers.
 struct Shared {
     session: Arc<SearchSession>,
     config: ServeConfig,
@@ -249,6 +247,11 @@ impl Shared {
                 1,
             );
         }
+    }
+
+    /// How many batchers serve the queue: one per session worker.
+    fn workers(&self) -> usize {
+        asteria_exec::resolve_threads(self.session.thread_count())
     }
 
     fn set_queue_gauge(&self, depth: usize) {
@@ -464,11 +467,11 @@ fn process_event(shared: &Shared, event: LineEvent, reply: &mpsc::Sender<String>
     true
 }
 
-/// The batcher: pops batches until the queue is closed **and** drained,
-/// so every accepted request is answered even during shutdown.
+/// One batcher: pops batches until the queue is closed **and** drained,
+/// so every accepted request is answered even during shutdown. The
+/// server runs one per session worker on the same queue.
 fn run_batcher(shared: &Shared) {
-    let dwell = Duration::from_millis(shared.config.batch_wait_ms);
-    while let Some(batch) = shared.queue.pop_batch(shared.config.batch_size, dwell) {
+    while let Some(batch) = shared.queue.pop_batch(shared.config.batch_size) {
         shared.set_queue_gauge(shared.queue.len());
         if shared.config.process_delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(shared.config.process_delay_ms));
@@ -509,9 +512,10 @@ fn run_batcher(shared: &Shared) {
             );
         }
         let queries: Vec<FunctionQuery> = live.iter().map(|p| p.query.clone()).collect();
-        // A panic answering the batch fails this batch alone: the batcher
-        // is the only one, and every later request would hang without it.
-        // The session holds no state a panic can leave half-updated.
+        // A panic answering the batch fails this batch alone, and this
+        // batcher keeps popping; a dead batcher would leave the server
+        // short of a worker. The session holds no state a panic can leave
+        // half-updated.
         let answers =
             panic::catch_unwind(AssertUnwindSafe(|| shared.session.query_batch(&queries)));
         if answers.is_err() && asteria_obs::enabled() {
@@ -571,7 +575,7 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
+    batchers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -597,7 +601,7 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.batcher.take() {
+        for h in self.batchers.drain(..) {
             let _ = h.join();
         }
         self.shared.stats()
@@ -637,10 +641,12 @@ pub fn start_tcp(
     }
     let shared = Arc::new(Shared::new(session, config, Some(wake)));
 
-    let batcher = std::thread::spawn({
-        let shared = Arc::clone(&shared);
-        move || run_batcher(&shared)
-    });
+    let batchers = (0..shared.workers())
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || run_batcher(&shared))
+        })
+        .collect();
 
     let accept = std::thread::spawn({
         let shared = Arc::clone(&shared);
@@ -697,7 +703,7 @@ pub fn start_tcp(
         local_addr,
         shared,
         accept: Some(accept),
-        batcher: Some(batcher),
+        batchers,
     })
 }
 
@@ -738,7 +744,9 @@ pub fn run_stdio<R: Read, W: Write + Send>(
     let shared = Shared::new(session, config, None);
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::scope(|scope| {
-        scope.spawn(|| run_batcher(&shared));
+        for _ in 0..shared.workers() {
+            scope.spawn(|| run_batcher(&shared));
+        }
         scope.spawn(move || write_responses(rx, output));
         let mut reader = LineReader::new(input, shared.config.max_request_bytes);
         while !shared.is_stopping() && process_event(&shared, reader.next_event(), &tx) {}

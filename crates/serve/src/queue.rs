@@ -3,14 +3,15 @@
 //! Producers (connection readers) `try_push` and get an immediate
 //! [`PushError::Full`] when the queue is at capacity — the server turns
 //! that into a typed `overloaded` response instead of growing memory
-//! without bound. The single batcher thread `pop_batch`es: it blocks for
-//! the first item, then dwells up to `batch_wait` to let a batch fill,
-//! and returns `None` only when the queue is closed **and** drained, so
-//! graceful shutdown never drops an accepted request.
+//! without bound. Several batchers (one per session worker) `pop_batch`
+//! concurrently: each blocks for the first item, then takes whatever is
+//! already queued up to its batch size, and never waits for more. Each
+//! item goes to exactly one batcher. `pop_batch` returns `None` only
+//! when the queue is closed **and** drained, so graceful shutdown never
+//! drops an accepted request.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Why a push was rejected; the item comes back to the caller.
 #[derive(Debug)]
@@ -26,7 +27,7 @@ struct Inner<T> {
     closed: bool,
 }
 
-/// A Mutex+Condvar bounded MPSC queue (multi-producer, single batcher).
+/// A Mutex+Condvar bounded MPMC queue (many readers, many batchers).
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     nonempty: Condvar,
@@ -60,11 +61,6 @@ impl<T> BoundedQueue<T> {
         relock(self.inner.lock()).items.len()
     }
 
-    /// True when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Enqueues without blocking; returns the new depth.
     ///
     /// # Errors
@@ -94,57 +90,19 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Takes the next batch: blocks until at least one item is queued,
-    /// then dwells up to `dwell` (from the first pop) to let the batch
-    /// fill toward `max`. Returns `None` only when the queue is closed
-    /// and fully drained. A closed queue never dwells — shutdown drains
-    /// at full speed.
-    pub fn pop_batch(&self, max: usize, dwell: Duration) -> Option<Vec<T>> {
-        let max = max.max(1);
+    /// then takes up to `max` of the items already queued, in FIFO
+    /// order. Returns `None` only when the queue is closed and fully
+    /// drained.
+    pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
         let mut inner = relock(self.inner.lock());
-        loop {
-            if !inner.items.is_empty() {
-                break;
-            }
+        while inner.items.is_empty() {
             if inner.closed {
                 return None;
             }
-            inner = self
-                .nonempty
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+            inner = relock(self.nonempty.wait(inner));
         }
-        let mut batch = Vec::with_capacity(max.min(inner.items.len()));
-        while batch.len() < max {
-            match inner.items.pop_front() {
-                Some(item) => batch.push(item),
-                None => break,
-            }
-        }
-        if batch.len() >= max || inner.closed || dwell.is_zero() {
-            return Some(batch);
-        }
-        // Dwell: wait for stragglers so small bursts coalesce.
-        let deadline = Instant::now() + dwell;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(batch);
-            }
-            let (guard, _timeout) = self
-                .nonempty
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            inner = guard;
-            while batch.len() < max {
-                match inner.items.pop_front() {
-                    Some(item) => batch.push(item),
-                    None => break,
-                }
-            }
-            if batch.len() >= max || inner.closed {
-                return Some(batch);
-            }
-        }
+        let n = max.max(1).min(inner.items.len());
+        Some(inner.items.drain(..n).collect())
     }
 }
 
@@ -152,6 +110,7 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn push_pop_preserves_fifo_order() {
@@ -159,7 +118,7 @@ mod tests {
         for i in 0..5 {
             q.try_push(i).expect("fits");
         }
-        let batch = q.pop_batch(16, Duration::ZERO).expect("has items");
+        let batch = q.pop_batch(16).expect("has items");
         assert_eq!(batch, vec![0, 1, 2, 3, 4]);
     }
 
@@ -185,10 +144,10 @@ mod tests {
             Err(PushError::Closed(item)) => assert_eq!(item, 3),
             other => panic!("expected Closed, got {other:?}"),
         }
-        // Drain continues after close; batches never dwell.
-        assert_eq!(q.pop_batch(1, Duration::from_secs(60)), Some(vec![1]));
-        assert_eq!(q.pop_batch(4, Duration::from_secs(60)), Some(vec![2]));
-        assert_eq!(q.pop_batch(4, Duration::ZERO), None);
+        // Drain continues after close.
+        assert_eq!(q.pop_batch(1), Some(vec![1]));
+        assert_eq!(q.pop_batch(4), Some(vec![2]));
+        assert_eq!(q.pop_batch(4), None);
     }
 
     #[test]
@@ -201,50 +160,72 @@ mod tests {
                 q.try_push(42).expect("fits");
             })
         };
-        let batch = q.pop_batch(4, Duration::ZERO).expect("item arrives");
+        let batch = q.pop_batch(4).expect("item arrives");
         assert_eq!(batch, vec![42]);
         producer.join().expect("producer");
     }
 
     #[test]
-    fn dwell_coalesces_stragglers_into_one_batch() {
+    fn pop_returns_what_is_queued_without_waiting_for_more() {
         let q = Arc::new(BoundedQueue::new(16));
         q.try_push(1).expect("fits");
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(Duration::from_millis(200));
                 q.try_push(2).expect("fits");
             })
         };
-        let batch = q
-            .pop_batch(16, Duration::from_millis(500))
-            .expect("has items");
+        let t0 = Instant::now();
+        let batch = q.pop_batch(16).expect("has items");
+        let waited = t0.elapsed();
+        assert_eq!(batch, vec![1], "the late item is not waited for");
+        assert!(waited < Duration::from_millis(100), "waited {waited:?}");
         producer.join().expect("producer");
-        assert_eq!(batch, vec![1, 2], "straggler joined the batch");
+        assert_eq!(q.pop_batch(16), Some(vec![2]));
     }
 
     #[test]
-    fn batch_full_returns_without_dwelling() {
-        let q = BoundedQueue::new(16);
-        for i in 0..4 {
+    fn concurrent_poppers_receive_every_item_exactly_once() {
+        const ITEMS: u32 = 1000;
+        let q = Arc::new(BoundedQueue::new(ITEMS as usize));
+        let poppers: Vec<_> = (0..4)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(batch) = q.pop_batch(3) {
+                        got.extend(batch);
+                    }
+                    got
+                })
+            })
+            .collect();
+        for i in 0..ITEMS {
             q.try_push(i).expect("fits");
         }
-        let t0 = Instant::now();
-        let batch = q.pop_batch(4, Duration::from_secs(60)).expect("has items");
-        assert_eq!(batch.len(), 4);
-        assert!(t0.elapsed() < Duration::from_secs(10), "must not dwell");
+        q.close();
+        let mut all: Vec<u32> = poppers
+            .into_iter()
+            .flat_map(|p| p.join().expect("popper"))
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..ITEMS).collect::<Vec<_>>());
     }
 
     #[test]
     fn close_wakes_blocked_poppers() {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
-        let popper = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4, Duration::ZERO))
-        };
+        let poppers: Vec<_> = (0..4)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.pop_batch(4))
+            })
+            .collect();
         std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert_eq!(popper.join().expect("popper"), None);
+        for p in poppers {
+            assert_eq!(p.join().expect("popper"), None);
+        }
     }
 }

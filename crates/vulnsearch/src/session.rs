@@ -452,6 +452,12 @@ impl SearchSession {
         self
     }
 
+    /// The worker-thread count set by [`SearchSession::threads`] (`0` =
+    /// auto).
+    pub fn thread_count(&self) -> usize {
+        self.threads
+    }
+
     /// The model this session scores with.
     pub fn model(&self) -> &AsteriaModel {
         &self.model
@@ -570,10 +576,12 @@ impl SearchSession {
     ///
     /// Identical queries (same source, function, arch, and cutoff) are
     /// **deduplicated**: encoded and ranked once, with the outcome
-    /// replayed to every duplicate. Unique queries fan out over the
-    /// session's worker threads. Each outcome is bit-identical to what
+    /// replayed to every duplicate. Unique queries are answered one
+    /// after another on the calling thread, each ranked serially: a
+    /// server runs one batch per worker, so the batches are the parallel
+    /// axis. Each outcome is bit-identical to what
     /// [`SearchSession::query`] returns for that query alone — batching
-    /// is a latency/throughput optimization, never a semantic one.
+    /// is a throughput optimization, never a semantic one.
     pub fn query_batch(&self, queries: &[FunctionQuery]) -> Vec<Result<QueryOutcome, QueryError>> {
         if queries.is_empty() {
             return Vec::new();
@@ -598,12 +606,10 @@ impl SearchSession {
                 (queries.len() - unique.len()) as u64,
             );
         }
-        // Each unique query is encoded and ranked independently; the
-        // inner ranking runs serially because the batch itself is the
-        // parallel axis (scoring is bit-identical at every thread count,
-        // so this choice cannot change any answer).
+        // Scoring is bit-identical at every thread count, so ranking on
+        // one thread cannot change any answer.
         let answers: Vec<Result<QueryOutcome, QueryError>> =
-            asteria_exec::par_map_threads(self.threads, &unique, |q| self.answer(q, 1));
+            unique.iter().map(|q| self.answer(q, 1)).collect();
         slot_of
             .into_iter()
             .enumerate()

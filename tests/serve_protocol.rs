@@ -18,11 +18,15 @@
 //! 6. **Bounded nesting**: a query nested deeper than the parser's
 //!    budget gets a typed `query` error instead of overflowing a thread
 //!    stack, and the deepest accepted query is answered.
+//! 7. **No batching delay**: each session worker runs its own batcher,
+//!    so concurrent queries are answered in parallel, and a lone query
+//!    is answered at once instead of waiting for a batch to fill.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use asteria::compiler::Arch;
 use asteria::core::{AsteriaModel, ModelConfig};
@@ -124,7 +128,6 @@ fn concurrent_tcp_clients_are_bit_identical_to_direct_session_calls() {
             session(server_threads),
             ServeConfig {
                 batch_size: 8,
-                batch_wait_ms: 2,
                 ..ServeConfig::default()
             },
         );
@@ -175,15 +178,96 @@ fn concurrent_tcp_clients_are_bit_identical_to_direct_session_calls() {
 }
 
 #[test]
-fn protocol_corruption_never_panics_or_wedges_the_connection() {
-    const ROUNDS: u64 = 300;
+fn each_session_worker_answers_its_own_batch_in_parallel() {
+    // Four workers, one query per batch, 100 ms of work per batch: four
+    // concurrent clients are answered in one round of about 100 ms,
+    // where one batcher would take four rounds (400 ms).
+    const CLIENTS: usize = 4;
+    let sources = query_sources();
+    let reference = session(1);
     let handle = start(
-        session(1),
+        session(4),
         ServeConfig {
-            batch_wait_ms: 0,
+            batch_size: 1,
+            process_delay_ms: 100,
             ..ServeConfig::default()
         },
     );
+    let addr = handle.local_addr();
+    let ready = Arc::new(Barrier::new(CLIENTS + 1));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let (function, source) = sources[c];
+            let ready = Arc::clone(&ready);
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut stream = stream;
+                ready.wait();
+                stream
+                    .write_all(format!("{}\n", query_line(c as u64, function, source)).as_bytes())
+                    .expect("send");
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("response");
+                line.trim_end().to_string()
+            })
+        })
+        .collect();
+    ready.wait();
+    let start = Instant::now();
+    let lines: Vec<String> = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread"))
+        .collect();
+    let elapsed = start.elapsed();
+    for (c, line) in lines.iter().enumerate() {
+        let (function, source) = sources[c];
+        assert_eq!(
+            line,
+            &expected_response(&reference, c as u64, function, source)
+        );
+    }
+    assert!(
+        elapsed < Duration::from_millis(300),
+        "{CLIENTS} concurrent queries took {elapsed:?}"
+    );
+    let stats = handle.shutdown();
+    assert_eq!(stats.ok, CLIENTS as u64, "{stats:?}");
+}
+
+#[test]
+fn a_lone_query_is_answered_without_waiting_for_its_batch_to_fill() {
+    const QUERIES: u64 = 20;
+    let handle = start(session(1), ServeConfig::default());
+    let stream = TcpStream::connect(handle.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut stream = stream;
+    let (function, source) = query_sources()[0];
+    let mut round_trips = Vec::new();
+    for id in 0..QUERIES {
+        let start = Instant::now();
+        stream
+            .write_all(format!("{}\n", query_line(id, function, source)).as_bytes())
+            .expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response");
+        round_trips.push(start.elapsed());
+        assert!(line.contains("\"ok\":true"), "{line}");
+    }
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(4),
+        "median round trip {median:?}: {round_trips:?}"
+    );
+    let stats = handle.shutdown();
+    assert_eq!(stats.ok, QUERIES, "{stats:?}");
+}
+
+#[test]
+fn protocol_corruption_never_panics_or_wedges_the_connection() {
+    const ROUNDS: u64 = 300;
+    let handle = start(session(1), ServeConfig::default());
     let stream = TcpStream::connect(handle.local_addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut stream = stream;
@@ -256,7 +340,6 @@ fn oversized_and_past_deadline_requests_get_typed_errors() {
         session(1),
         ServeConfig {
             max_request_bytes: 256,
-            batch_wait_ms: 0,
             ..ServeConfig::default()
         },
     );
@@ -311,7 +394,6 @@ fn saturation_yields_typed_overloaded_and_exactly_one_response_per_request() {
         session(1),
         ServeConfig {
             batch_size: 1,
-            batch_wait_ms: 0,
             queue_capacity: 2,
             process_delay_ms: 40,
             ..ServeConfig::default()
@@ -365,7 +447,6 @@ fn shutdown_with_requests_in_flight_loses_zero_responses() {
         session(1),
         ServeConfig {
             batch_size: 4,
-            batch_wait_ms: 0,
             process_delay_ms: 30,
             ..ServeConfig::default()
         },
@@ -440,10 +521,7 @@ fn a_panicking_batch_gets_typed_errors_and_the_server_keeps_answering() {
         let session = SearchSession::new(Arc::clone(&small_vocab), index.clone());
         let handle = start(
             Arc::new(session.threads(server_threads)),
-            ServeConfig {
-                batch_wait_ms: 0,
-                ..ServeConfig::default()
-            },
+            ServeConfig::default(),
         );
         let stream = TcpStream::connect(handle.local_addr()).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
