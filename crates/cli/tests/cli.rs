@@ -508,6 +508,10 @@ fn obs_flags_write_metrics_and_trace_quietly() {
         "{prom_text}"
     );
     assert!(
+        prom_text.contains("asteria_decompile_optimize_seconds_bucket"),
+        "{prom_text}"
+    );
+    assert!(
         prom_text.contains("asteria_span_count{path=\"index-build/encode-binary\"}"),
         "{prom_text}"
     );

@@ -72,6 +72,9 @@ pub struct AsteriaModel {
     /// Inference kernel for the current weights: built on the first
     /// encode, dropped by every weight update.
     kernel: OnceLock<TreeLstmKernel>,
+    /// [`AsteriaModel::weights_digest`] of the current weights: computed
+    /// on first use, dropped with the kernel.
+    digest: OnceLock<u64>,
 }
 
 impl std::fmt::Debug for AsteriaModel {
@@ -109,6 +112,7 @@ impl AsteriaModel {
             head,
             optimizer,
             kernel: OnceLock::new(),
+            digest: OnceLock::new(),
         }
     }
 
@@ -183,7 +187,7 @@ impl AsteriaModel {
     /// Both towers share one parameter set (the Siamese property), so the
     /// backward pass accumulates gradients from both trees automatically.
     pub fn train_pair(&mut self, t1: &BinTree, t2: &BinTree, homologous: bool) -> f32 {
-        self.kernel.take();
+        self.weights_changed();
         self.store.zero_grads();
         let mut g = Graph::new();
         let h1 = self.tree_lstm.encode(&mut g, &self.store, t1);
@@ -214,8 +218,14 @@ impl AsteriaModel {
     /// Returns `InvalidData` when shapes or names do not match.
     pub fn load<R: Read>(&mut self, r: R) -> io::Result<()> {
         // A failed load may still have replaced some weights.
-        self.kernel.take();
+        self.weights_changed();
         self.store.load(r)
+    }
+
+    /// Drops everything derived from the weights.
+    fn weights_changed(&mut self) {
+        self.kernel.take();
+        self.digest.take();
     }
 
     /// Snapshot of the weights as bytes (for best-epoch checkpointing).
@@ -241,8 +251,11 @@ impl AsteriaModel {
     /// bits). Any training step, reconfiguration, or weight edit changes
     /// it, so it is the invalidation key for persisted artifacts derived
     /// from this model — notably the on-disk embedding index.
+    ///
+    /// The first call after construction or a weight update hashes every
+    /// weight; later calls return the memo.
     pub fn weights_digest(&self) -> u64 {
-        self.store.digest()
+        *self.digest.get_or_init(|| self.store.digest())
     }
 }
 
@@ -364,6 +377,56 @@ mod tests {
             m.weights_digest(),
             "a train step must change the digest"
         );
+    }
+
+    #[test]
+    fn weights_digest_memo_follows_every_weight_write() {
+        let config = ModelConfig {
+            hidden_dim: 8,
+            embed_dim: 4,
+            ..Default::default()
+        };
+        // The digest of `m`'s weights, computed by a model that has never
+        // memoized anything else.
+        let fresh_digest = |m: &AsteriaModel| {
+            let mut fresh = AsteriaModel::new(config);
+            fresh.load(m.snapshot().as_slice()).unwrap();
+            fresh.weights_digest()
+        };
+        let other = AsteriaModel::new(ModelConfig { seed: 7, ..config });
+        let other_snapshot = other.snapshot();
+        let mut m = AsteriaModel::new(config);
+        let a = tree(&[NodeType::If]);
+        let b = tree(&[NodeType::While]);
+
+        let before = m.weights_digest();
+        m.train_pair(&a, &b, false);
+        assert_ne!(m.weights_digest(), before, "train_pair");
+        assert_eq!(m.weights_digest(), fresh_digest(&m), "train_pair");
+
+        let before = m.weights_digest();
+        m.load(other_snapshot.as_slice()).unwrap();
+        assert_ne!(m.weights_digest(), before, "load");
+        assert_eq!(m.weights_digest(), other.weights_digest(), "load");
+        assert_eq!(m.weights_digest(), fresh_digest(&m), "load");
+
+        m.train_pair(&a, &b, true);
+        let before = m.weights_digest();
+        let truncated = &other_snapshot[..other_snapshot.len() / 2];
+        assert!(m.load(truncated).is_err());
+        assert_ne!(
+            m.weights_digest(),
+            before,
+            "the failed load replaced no weight"
+        );
+        assert_eq!(m.weights_digest(), fresh_digest(&m), "failed load");
+
+        let trained = m.snapshot();
+        m.train_pair(&a, &b, false);
+        let before = m.weights_digest();
+        m.restore(&trained).unwrap();
+        assert_ne!(m.weights_digest(), before, "restore");
+        assert_eq!(m.weights_digest(), fresh_digest(&m), "restore");
     }
 
     #[test]

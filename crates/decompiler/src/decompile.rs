@@ -217,7 +217,12 @@ fn decompile_function_inner(
     );
     // Lifter artifact: 32-bit x86 output keeps compound temporaries
     // (register pressure), other ISAs re-nest expressions fully.
+    let optimize_timer = asteria_obs::timer();
     optimize_lifted_with(&mut blocks, binary.arch != Arch::X86);
+    optimize_timer.observe_seconds(
+        "asteria_decompile_optimize_seconds",
+        &[("arch", binary.arch.name())],
+    );
     // Lifter artifact: the x86 stack-argument convention leaves visible
     // incoming-argument copies in decompiled output (Hex-Rays keeps the
     // `v3 = a1;` stack spills on 32-bit x86); register-argument ISAs get

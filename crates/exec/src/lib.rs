@@ -92,6 +92,9 @@ where
 /// chunks). Same determinism contract as [`par_map_threads`]; use it when
 /// the per-item closure is so cheap that per-item channel traffic would
 /// dominate (e.g. scoring one cached encoding pair).
+///
+/// At most one worker per chunk is started, so items that fit in one
+/// chunk are mapped on the calling thread without spawning.
 pub fn par_map_chunked<I, T, F>(threads: usize, chunk_size: usize, items: &[I], f: F) -> Vec<T>
 where
     I: Sync,
@@ -99,16 +102,18 @@ where
     F: Fn(&I) -> T + Sync,
 {
     let threads = resolve_threads(threads).min(items.len());
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
     let chunk = if chunk_size == 0 {
-        (items.len() / (threads * 4)).max(1)
+        (items.len() / (threads * 4).max(1)).max(1)
     } else {
         chunk_size
     };
-    let chunks = AtomicUsize::new(0);
     let n_chunks = items.len().div_ceil(chunk);
+    // A worker past the chunk count would find nothing to claim.
+    let threads = threads.min(n_chunks);
+    if threads <= 1 {
+        return items.iter().map(&f).collect();
+    }
+    let chunks = AtomicUsize::new(0);
     let parent = asteria_obs::current_path();
     let (tx, rx) = mpsc::channel::<(usize, Vec<T>)>();
     std::thread::scope(|s| {
@@ -335,6 +340,47 @@ mod tests {
         assert!(par_map_threads(4, &empty, |x| x + 1).is_empty());
         assert_eq!(par_map_threads(4, &[41u32], |x| x + 1), vec![42]);
         assert_eq!(par_map_chunked(4, 3, &[1u32, 2], |x| x * 2), vec![2, 4]);
+    }
+
+    #[test]
+    fn items_that_fit_in_one_chunk_run_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..32).collect();
+        for threads in [2, 8] {
+            for chunk in [32, 100] {
+                let ran_on =
+                    par_map_chunked(threads, chunk, &items, |_| std::thread::current().id());
+                assert!(
+                    ran_on.iter().all(|&id| id == caller),
+                    "{threads} threads, chunk {chunk}: a worker was started"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn items_past_one_chunk_run_on_concurrent_workers() {
+        // The first item of each chunk waits until both chunks have
+        // started: only two workers running at once get past it.
+        let caller = std::thread::current().id();
+        let started = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..64).collect();
+        for threads in [2, 8] {
+            started.store(0, Ordering::Relaxed);
+            let ran_on = par_map_chunked(threads, 32, &items, |&i| {
+                if i % 32 == 0 {
+                    started.fetch_add(1, Ordering::AcqRel);
+                    let t0 = std::time::Instant::now();
+                    while started.load(Ordering::Acquire) < 2 {
+                        assert!(t0.elapsed().as_secs() < 30, "the other chunk never started");
+                        std::thread::yield_now();
+                    }
+                }
+                std::thread::current().id()
+            });
+            assert!(ran_on.iter().all(|&id| id != caller), "{threads} threads");
+            assert_ne!(ran_on[0], ran_on[32], "{threads} threads");
+        }
     }
 
     #[test]

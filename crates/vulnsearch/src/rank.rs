@@ -90,6 +90,17 @@ impl RankSlab {
         self.origin.len()
     }
 
+    /// Workers one query uses: `threads` (`0` = auto), at most one per
+    /// panel, and just the calling thread below [`MIN_PARALLEL_PANELS`].
+    fn workers(&self, threads: usize) -> usize {
+        let tiles = self.encodings.tiles();
+        if tiles < MIN_PARALLEL_PANELS {
+            1
+        } else {
+            asteria_exec::resolve_threads(threads).min(tiles)
+        }
+    }
+
     /// Per bucket, `callee_similarity(callee_count, c)`: the same call,
     /// so the same bits, as the per-pair path.
     fn factors(&self, callee_count: usize) -> Vec<f64> {
@@ -100,7 +111,7 @@ impl RankSlab {
     }
 
     /// The calibrated score ℱ of every entry, in index order, over
-    /// `threads` workers (`0` = auto).
+    /// [`RankSlab::workers`] workers.
     pub(crate) fn scores(
         &self,
         scorer: &QueryScorer,
@@ -109,7 +120,7 @@ impl RankSlab {
     ) -> Vec<f64> {
         let factor = self.factors(callee_count);
         let tiles: Vec<usize> = (0..self.encodings.tiles()).collect();
-        let per_tile = asteria_exec::par_map_chunked(threads, 0, &tiles, |&tile| {
+        let per_tile = asteria_exec::par_map_chunked(self.workers(threads), 0, &tiles, |&tile| {
             scorer.score_tile(&self.encodings, tile)
         });
         let mut scores = vec![0.0; self.len()];
@@ -120,7 +131,7 @@ impl RankSlab {
     }
 
     /// The first `k` hits of the full ranking, for `0 < k < len`, over
-    /// `threads` workers (`0` = auto).
+    /// [`RankSlab::workers`] workers.
     ///
     /// Worker `p` of `w` owns the panels `t` with `t % w == p`. Each keeps
     /// its own top k, and the merge sorts their union, so the result
@@ -157,7 +168,7 @@ impl RankSlab {
             k,
             start: first.min(self.len() - 1) / SLAB_TILE,
         };
-        let workers = asteria_exec::resolve_threads(threads).min(self.encodings.tiles());
+        let workers = self.workers(threads);
         let parts: Vec<usize> = (0..workers).collect();
         let mut kept: Vec<Ranked> =
             asteria_exec::par_map_threads(workers, &parts, |&p| search.run(p, workers))
@@ -174,6 +185,12 @@ impl RankSlab {
             .collect()
     }
 }
+
+/// Slabs with fewer panels than this are ranked on the calling thread. A
+/// panel scores in about 0.5 µs and starting two workers costs about
+/// 60 µs; on 2 cores a full ranking broke even with one worker at 1,024
+/// panels, and a top-10 search was still faster on one.
+const MIN_PARALLEL_PANELS: usize = 1024;
 
 /// One query's bounded top-k search over the slab.
 struct Search<'a> {

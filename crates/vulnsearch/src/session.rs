@@ -257,10 +257,17 @@ impl<'m> IndexBuilder<'m> {
         (index, stats)
     }
 
-    /// Fingerprints each binary of `wave` over the build's workers and
-    /// either replays its cached entry or extracts it. An entry holding a
-    /// vector of the wrong size (the digests check the model, not the
-    /// entry) is a miss, re-encoded and overwritten.
+    /// Fingerprints each binary of `wave` and either replays its cached
+    /// entry or extracts it. An entry holding a vector of the wrong size
+    /// (the digests check the model, not the entry) is a miss, re-encoded
+    /// and overwritten.
+    ///
+    /// Two phases, so a wave of hits starts no worker: the probe phase
+    /// hands each worker [`PROBE_CHUNK`] binaries, and only the misses go
+    /// to the extraction phase, one binary at a time. Misses are put back
+    /// in wave order. A hit's `encode-binary` span covers its replay, a
+    /// miss's its extraction; the fingerprint is timed by the hit's
+    /// histogram sample only.
     fn look_up(
         &self,
         wave: &[(usize, usize, &FirmwareImage)],
@@ -269,33 +276,56 @@ impl<'m> IndexBuilder<'m> {
         model_digest: u64,
     ) -> Vec<(u64, Entry)> {
         let hidden = self.model.config().hidden_dim;
-        asteria_exec::par_map_threads(self.threads, wave, |&(ii, bi, img)| {
-            let mut bin_span = asteria_obs::span("encode-binary");
-            let bin_timer = asteria_obs::timer();
-            let binary = &img.binaries[bi];
-            let fingerprint = fingerprint_binary(binary, params_digest, model_digest);
-            let cached = cache
-                .get(fingerprint)
-                .filter(|c| c.functions.iter().all(|f| f.vector.len() == hidden));
-            let (entry, mode, functions) = match cached {
-                Some(cached) => {
-                    let functions = indexed_functions(ii, bi, img, &cached.functions);
-                    let n = functions.len();
-                    let report = cached.report;
-                    (Entry::Warm { functions, report }, "warm", n)
-                }
-                None => {
-                    let extraction = extract_binary(binary, DEFAULT_INLINE_BETA);
-                    let n = extraction.report.extracted;
-                    (Entry::Cold(extraction), "cold", n)
-                }
-            };
-            bin_span.set_items(functions as u64);
-            bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", mode)]);
-            (fingerprint, entry)
-        })
+        let probed =
+            asteria_exec::par_map_chunked(self.threads, PROBE_CHUNK, wave, |&(ii, bi, img)| {
+                let bin_timer = asteria_obs::timer();
+                let fingerprint =
+                    fingerprint_binary(&img.binaries[bi], params_digest, model_digest);
+                let hit = cache
+                    .get(fingerprint)
+                    .filter(|c| c.functions.iter().all(|f| f.vector.len() == hidden))
+                    .map(|cached| {
+                        let mut bin_span = asteria_obs::span("encode-binary");
+                        let functions = indexed_functions(ii, bi, img, &cached.functions);
+                        bin_span.set_items(functions.len() as u64);
+                        bin_timer
+                            .observe_seconds("asteria_index_binary_seconds", &[("mode", "warm")]);
+                        let report = cached.report;
+                        Entry::Warm { functions, report }
+                    });
+                (fingerprint, hit)
+            });
+        let misses: Vec<&(usize, usize, &FirmwareImage)> = wave
+            .iter()
+            .zip(&probed)
+            .filter_map(|(unit, (_, hit))| hit.is_none().then_some(unit))
+            .collect();
+        let mut extracted =
+            asteria_exec::par_map_threads(self.threads, &misses, |&&(_, bi, img)| {
+                let mut bin_span = asteria_obs::span("encode-binary");
+                let bin_timer = asteria_obs::timer();
+                let extraction = extract_binary(&img.binaries[bi], DEFAULT_INLINE_BETA);
+                bin_span.set_items(extraction.report.extracted as u64);
+                bin_timer.observe_seconds("asteria_index_binary_seconds", &[("mode", "cold")]);
+                Entry::Cold(extraction)
+            })
+            .into_iter();
+        probed
+            .into_iter()
+            .map(|(fingerprint, hit)| {
+                let entry =
+                    hit.unwrap_or_else(|| extracted.next().expect("one extraction per miss"));
+                (fingerprint, entry)
+            })
+            .collect()
     }
 }
+
+/// Binaries a probe worker claims at a time. A probe (fingerprint, cache
+/// lookup, replay) costs about 5 µs and starting a worker about 55 µs,
+/// so a wave of up to this many binaries is probed on the calling
+/// thread, and a large warm corpus still spreads over every worker.
+const PROBE_CHUNK: usize = 32;
 
 /// Binaries encoded together as one forest by [`IndexBuilder`]: large
 /// enough that a corpus's shared library code is interned together,

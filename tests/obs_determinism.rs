@@ -231,6 +231,57 @@ fn asix_cache_bytes_are_identical_warm_vs_cold_with_tracing() {
     );
 }
 
+#[test]
+fn warm_probes_start_workers_only_past_one_chunk() {
+    // A cache probe costs microseconds and a worker start tens of them:
+    // a fully warm 2-image build at the default thread count probes on
+    // the calling thread alone, while the 48-image corpus is probed on
+    // workers (all but a short last wave). Thread ordinals of the
+    // per-binary spans show which.
+    let model = AsteriaModel::new(ModelConfig {
+        hidden_dim: 12,
+        embed_dim: 8,
+        ..Default::default()
+    });
+    let rec = Recording::start();
+    for (images, threads, all_on_caller) in [(2, 0, true), (48, 2, false)] {
+        let firmware = build_firmware_corpus(
+            &FirmwareConfig {
+                images,
+                ..Default::default()
+            },
+            &vulnerability_library(),
+        );
+        let mut cache = IndexCache::default();
+        let builder = IndexBuilder::new(&model).threads(threads);
+        builder.build_into(&firmware, &mut cache);
+        rec.collector().reset();
+        let (_, stats) = builder.build_into(&firmware, &mut cache);
+        assert_eq!(stats.misses, 0, "{images} images: warm build missed");
+        let spans = rec.collector().finished_spans();
+        let caller = spans
+            .iter()
+            .find(|s| s.path == "index-build")
+            .expect("root span")
+            .thread;
+        let probes: Vec<u32> = spans
+            .iter()
+            .filter(|s| s.path == "index-build/encode-binary")
+            .map(|s| s.thread)
+            .collect();
+        assert_eq!(
+            probes.len(),
+            stats.hits,
+            "{images} images: one span per binary"
+        );
+        assert_eq!(
+            probes.iter().all(|&t| t == caller),
+            all_on_caller,
+            "{images} images: probe threads {probes:?}, caller {caller}"
+        );
+    }
+}
+
 /// Stdin stand-in for a stdio server: delivers `before`, then raises the
 /// process-wide shutdown flag — as SIGTERM would while the server blocks
 /// on its next read — and delivers `after`.

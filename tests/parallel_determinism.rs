@@ -4,13 +4,14 @@
 //! extraction reports. This is the non-negotiable invariant of the
 //! `asteria-exec` fan-out.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use asteria::compiler::Arch;
+use asteria::compiler::{Arch, Binary};
 use asteria::core::{AsteriaModel, ModelConfig};
 use asteria::vulnsearch::{
-    build_firmware_corpus, vulnerability_library, FirmwareConfig, FunctionQuery, IndexBuilder,
-    IndexCache, SearchIndex, SearchSession,
+    build_firmware_corpus, vulnerability_library, FirmwareConfig, FirmwareImage, FunctionQuery,
+    IndexBuilder, IndexCache, SearchIndex, SearchSession,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -95,6 +96,70 @@ fn warm_cached_build_is_identical_to_cold_at_every_thread_count() {
         uncached == cold,
         "cached cold build diverged from the plain build"
     );
+}
+
+#[test]
+fn half_warm_build_is_identical_to_cold_at_every_thread_count() {
+    // A cache holding every other binary of the corpus: hits and misses
+    // alternate through the wave, so each miss's extraction must go
+    // back to its own place among the replayed hits.
+    let (model, firmware) = fixture();
+    let mut full_cache = IndexCache::default();
+    let (cold, _) = IndexBuilder::new(&model)
+        .threads(1)
+        .build_into(&firmware, &mut full_cache);
+    let mut position = 0;
+    let half: Vec<FirmwareImage> = firmware
+        .iter()
+        .map(|img| {
+            let mut img = img.clone();
+            img.binaries.retain(|_| {
+                position += 1;
+                position % 2 == 1
+            });
+            img
+        })
+        .collect();
+    let mut half_cache = IndexCache::default();
+    IndexBuilder::new(&model)
+        .threads(1)
+        .build_into(&half, &mut half_cache);
+
+    // Equal bytes give equal fingerprints, so a binary hits when any
+    // cached binary has its bytes.
+    let bytes = |b: &Binary| {
+        let mut v = Vec::new();
+        b.save(&mut v).expect("in-memory save");
+        v
+    };
+    let cached: HashSet<Vec<u8>> = half.iter().flat_map(|i| &i.binaries).map(bytes).collect();
+    let binaries: Vec<&Binary> = firmware.iter().flat_map(|i| &i.binaries).collect();
+    let hits = binaries
+        .iter()
+        .filter(|b| cached.contains(&bytes(b)))
+        .count();
+    assert!(
+        0 < hits && hits < binaries.len(),
+        "{hits} of {}",
+        binaries.len()
+    );
+
+    for threads in THREAD_COUNTS {
+        let mut cache = half_cache.clone();
+        let (index, stats) = IndexBuilder::new(&model)
+            .threads(threads)
+            .build_into(&firmware, &mut cache);
+        assert_eq!(
+            (stats.hits, stats.misses, stats.evicted),
+            (hits, binaries.len() - hits, 0),
+            "cache accounting at {threads} threads"
+        );
+        assert!(
+            index == cold,
+            "half-warm index diverged at {threads} threads"
+        );
+        assert!(cache == full_cache, "cache diverged at {threads} threads");
+    }
 }
 
 #[test]

@@ -213,6 +213,24 @@ proptest! {
 }
 
 #[test]
+fn slabs_ranked_over_several_workers_match_the_reference() {
+    // Smaller slabs are ranked on the calling thread alone; from 1,024
+    // panels on, the panels are split between workers.
+    let n = 1100 * SLAB_TILE + 3;
+    for seed in [5, 6] {
+        let mut g = Gen(seed);
+        let index = random_index(&mut g, n, 40);
+        let query_callees = index.functions[g.below(n as u64) as usize]
+            .encoding
+            .callee_count;
+        let query = encoding("q".into(), g.vector(0), query_callees);
+        for head in [SiameseKind::Classification, SiameseKind::Regression] {
+            check(&model(head, seed), index.clone(), &query);
+        }
+    }
+}
+
+#[test]
 fn callee_factor_underflow_and_zero_ties() {
     // Distances 0, 745, 746, 747 and 2000 from the query: the last three
     // have a factor of exactly +0.0, so their scores tie at zero and must
